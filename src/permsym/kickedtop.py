@@ -37,6 +37,8 @@ class KickedTopParams:
     p: float = math.pi / 2.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.j, self.k, self.p)):
+            raise DomainError(f"j={self.j}, k={self.k}, p={self.p} must be finite")
         if round(2 * self.j) < 1 or abs(2 * self.j - round(2 * self.j)) > 1e-9:
             raise DomainError(f"j={self.j} must be a positive half-integer")
         if self.k < 0:
@@ -71,17 +73,28 @@ class SpinSystem:
         return self.params.dim
 
 
+def _ladder_coefficients(j: float) -> np.ndarray:
+    """<m+1| J+ |m> for m = -j .. j-1: the subdiagonal of the raising operator."""
+    m = -j + np.arange(round(2 * j))
+    return np.sqrt(j * (j + 1) - m * (m + 1))
+
+
 def angular_momentum_matrices(j: float):
     """Dense Jx, Jy, Jz for spin j in the ascending |j, m> basis."""
     dim = round(2 * j) + 1
     m = -j + np.arange(dim)
     raising = np.zeros((dim, dim))
-    raising[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(
-        j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    raising[np.arange(1, dim), np.arange(dim - 1)] = _ladder_coefficients(j)
     jx = (raising + raising.T) / 2.0 + 0j
     jy = (raising - raising.T) / 2.0j
     jz = np.diag(m) + 0j
     return jx, jy, jz
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if not defect <= 1e-10:  # a NaN defect fails too
+        raise IntegrityError(f"Floquet unitarity defect {defect:.2e} > 1e-10")
 
 
 def build_spin_system(params: KickedTopParams, dim_cap: int = DIM_CAP) -> SpinSystem:
@@ -100,9 +113,7 @@ def build_spin_system(params: KickedTopParams, dim_cap: int = DIM_CAP) -> SpinSy
     w, v = np.linalg.eigh(jy)
     rotation = (v * np.exp(-1j * params.p * w)) @ v.conj().T
     floquet = kick[:, None] * rotation
-    defect = np.abs(floquet.conj().T @ floquet - np.eye(dim)).max()
-    if defect > 1e-10:
-        raise IntegrityError(f"Floquet unitarity defect {defect:.2e} > 1e-10")
+    _check_unitary(floquet)
     for mat in (jx, jy, jz, floquet):
         mat.setflags(write=False)
     return SpinSystem(params, jx, jy, jz, floquet)
@@ -192,12 +203,6 @@ def _chunked_block_entropies(traj: np.ndarray, n: int, sizes, kind) -> dict:
     return {q: np.concatenate([p[q] for p in parts]) for q in sizes}
 
 
-def saturation_stats(values: np.ndarray, start: int, stop: int | None = None):
-    """Mean and standard deviation of a time series over a step window."""
-    window = np.asarray(values)[start:stop]
-    return float(window.mean()), float(window.std())
-
-
 def saturation_residuals(values: np.ndarray, reference: float) -> np.ndarray:
     """ln |I3(n) - reference|, the raw saturation-approach series (no fit)."""
     with np.errstate(divide="ignore"):
@@ -218,37 +223,141 @@ class OtocSeries:
     c4: np.ndarray
 
 
-def _real_trace(value: complex, scale: float) -> float:
-    if abs(value.imag) > 1e-8 * max(abs(value.real), 1e-300):
+def _real_trace(value: complex, bound: float) -> float:
+    """Real part of a trace whose imaginary part must be round-off.
+
+    bound is an a-priori bound on |trace| fixed for the whole series; the
+    real part itself can be round-off (C4 vanishes at some steps), so it is
+    no scale for the imaginary part.  NaN and infinity fail the check.
+    """
+    if not (math.isfinite(value.real) and abs(value.imag) <= 1e-8 * bound):
         raise IntegrityError(f"trace {value!r} has a non-negligible imaginary part")
-    return value.real / scale
+    return value.real
+
+
+def parity_bases(dim: int):
+    """Orthonormal bases (v_e, v_o) of the two eigenspaces of the kicked-top parity.
+
+    The parity is Pi = S F in the ascending |j, m> basis: F flips m -> -m
+    and S = diag((-1)^i) with i = m + j.  It maps Jx -> -Jx, Jy -> Jy and
+    Jz -> -Jz, so it commutes with exp(-i p Jy) and with the Jz^2 kick,
+    hence with U, while Jx is odd.  Pi^2 = (-1)^(dim-1), so the eigenvalue
+    lam of v_e is +-1 for integer j and i for half-integer j; v_o has -lam.
+    Column c < dim // 2 of either basis is (|c> + lam (-1)^c |dim-1-c>)/sqrt 2;
+    for odd dim the m = 0 vector is the last column of v_e.
+    """
+    half = dim // 2
+    c = np.arange(half)
+    lam = (-1.0) ** half if dim % 2 else 1j
+    bases = []
+    for eig, middle in ((lam, dim % 2), (-lam, 0)):
+        v = np.zeros((dim, half + middle), dtype=complex)
+        v[c, c] = math.sqrt(0.5)
+        v[dim - 1 - c, c] = eig * (-1.0) ** c * math.sqrt(0.5)
+        if middle:
+            v[half, half] = 1.0
+        bases.append(v)
+    return tuple(bases)
+
+
+def _tridiagonal_times(lower: np.ndarray, upper: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T @ v for T[i+1, i] = lower[i], T[i, i+1] = upper[i] and a zero diagonal."""
+    out = np.zeros_like(v)
+    out[1:] = lower[:, None] * v[:-1]
+    out[:-1] += upper[:, None] * v[1:]
+    return out
+
+
+def _adjoint_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v^dag @ m for a parity basis v, whose column c lives on rows c and dim-1-c."""
+    c = np.arange(v.shape[1])
+    mirror = v.shape[0] - 1 - c
+    out = v[c, c].conj()[:, None] * m[c]
+    pair = mirror != c
+    out[pair] += v[mirror[pair], c[pair]].conj()[:, None] * m[mirror[pair]]
+    return out
+
+
+def _sector_floquet(v: np.ndarray, ladder: np.ndarray, kick: np.ndarray,
+                    p: float) -> np.ndarray:
+    """Block of U on the parity sector spanned by v, from a sector-size eigh of Jy.
+
+    The sector block of Jy is tridiagonal, with a real diagonal and a
+    subdiagonal that is -i times a real vector, so D^dag Jy D is real
+    symmetric for D = diag((-i)^c) and a real eigh suffices.  The kick is
+    diagonal and equal on m and -m, so on column c of v it is kick[c].
+    """
+    n = v.shape[1]
+    jy = _adjoint_times(v, _tridiagonal_times(-0.5j * ladder, 0.5j * ladder, v))
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
+    w, vecs = np.linalg.eigh((phase.conj()[:, None] * jy * phase).real)
+    vecs = phase[:, None] * vecs
+    u = kick[:n, None] * ((vecs * np.exp(-1j * p * w)) @ vecs.conj().T)
+    _check_unitary(u)
+    return u
+
+
+def _band(x: np.ndarray) -> list:
+    """(offset o, entries x[r, r + o]) for each nonzero diagonal o = -1, 0, 1 of x."""
+    diagonals = [(o, np.diagonal(x, o).copy()) for o in (-1, 0, 1)]
+    return [(o, entries) for o, entries in diagonals if entries.any()]
+
+
+def _band_times(band: list, m: np.ndarray, n_rows: int) -> np.ndarray:
+    """B @ m for the tridiagonal B given by _band, in O(size of the result)."""
+    out = np.zeros((n_rows, m.shape[1]), dtype=complex)
+    for o, entries in band:
+        r = max(0, -o)
+        out[r:r + entries.size] += entries[:, None] * m[r + o:r + o + entries.size]
+    return out
 
 
 def otoc_series(params: KickedTopParams, n_max: int,
                 dim_cap: int = DIM_CAP) -> OtocSeries:
     """Two-point correlator, four-point OTOC and commutator growth of Jx.
 
-    Jx(n) is accumulated by operator conjugation Jx(n+1) = U^dag Jx(n) U
-    (two dense products per step); C2(n) = Tr(Jx(n)^2 Jx^2)/j^4 and
-    C4(n) = Tr(Jx(n) Jx Jx(n) Jx)/j^4.
+    C2(n) = Tr(Jx(n)^2 Jx^2)/j^4 and C4(n) = Tr(Jx(n) Jx Jx(n) Jx)/j^4 with
+    Jx(n) = U^-n Jx U^n.  U is block diagonal in the parity sectors of
+    parity_bases, U = diag(U_e, U_o), and Jx is off-diagonal, so Jx(n) is
+    fixed by its block X_n = U_e^dag X_{n-1} U_o: two products of
+    half-size blocks per kick.  With P_e = X_n X^dag and P_o = X_n^dag X,
+    C2 = |P_e|_F^2 + |P_o|_F^2 and C4 = Tr(P_e^2) + Tr(P_o^2).  X is
+    tridiagonal, so P_e^T = conj(X) X_n^T and P_o^dag = X^dag X_n cost
+    O(d^2), and the norms and traces are read off these.  No d x d matrix
+    is built.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    system = build_spin_system(params, dim_cap=dim_cap)
-    u = system.floquet
-    a = system.jx
-    a2 = np.asarray(a @ a)
-    scale = float(params.j) ** 4
+    dim = params.dim
+    if dim > dim_cap:
+        raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {dim_cap}")
+    j = float(params.j)
+    ladder = _ladder_coefficients(j)
+    m = -j + np.arange(dim)
+    kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
+    v_e, v_o = parity_bases(dim)
+    u_e_dag = _sector_floquet(v_e, ladder, kick, params.p).conj().T
+    u_o = _sector_floquet(v_o, ladder, kick, params.p)
+    x = _adjoint_times(v_e, _tridiagonal_times(0.5 * ladder, 0.5 * ladder, v_o))
+    band_conj, band_dag = _band(x.conj()), _band(x.conj().T)
+    bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
+    scale = j ** 4
+
+    def traces(xn):
+        p_e_t = _band_times(band_conj, xn.T, x.shape[0])
+        p_o_dag = _band_times(band_dag, xn, x.shape[1])
+        c2 = np.vdot(p_e_t, p_e_t) + np.vdot(p_o_dag, p_o_dag)
+        c4 = (np.einsum("ij,ji->", p_e_t, p_e_t)
+              + np.einsum("ij,ji->", p_o_dag, p_o_dag).conjugate())
+        return _real_trace(c2, bound) / scale, _real_trace(c4, bound) / scale
 
     c2 = np.empty(n_max + 1)
     c4 = np.empty(n_max + 1)
-    c2[0] = c4[0] = _real_trace(np.vdot(a2, a2), scale)
-    b = np.array(a)
+    c2[0] = c4[0] = traces(x)[0]  # Tr(Jx^4) both; F(0) = 0 exactly
+    xn = x
     for n in range(1, n_max + 1):
-        b = u.conj().T @ b @ u
-        c2[n] = _real_trace(np.vdot(a2, b @ b), scale)      # Tr(B^2 A^2), A2 Hermitian
-        p = b @ a
-        c4[n] = _real_trace(np.einsum("ij,ji->", p, p), scale)
+        xn = u_e_dag @ xn @ u_o
+        c2[n], c4[n] = traces(xn)
     f = 2.0 * (c2 - c4)
     return OtocSeries(np.arange(n_max + 1), f, c2, c4)
 

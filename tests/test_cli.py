@@ -80,6 +80,12 @@ class TestExitCodes:
     def test_bad_functional(self, tmp_path):
         assert run(["concentration", "--functional", "junk", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--k", "inf"), ("--p", "nan"), ("--j", "nan")])
+    def test_non_finite_kicked_top_params(self, tmp_path, flag, value, capsys):
+        assert run(["otoc", "--j", 2, "--steps", 3, flag, value, "--out", tmp_path]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "otoc.csv").exists()
+
 
 class TestOutputs:
     def test_averages_zero_samples_empty_mc_columns(self, tmp_path):

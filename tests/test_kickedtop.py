@@ -2,18 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from permsym.core import coherent_state
-from permsym.errors import CapacityError, DomainError
-from permsym.kickedtop import (KickedTopParams, angular_momentum_matrices,
-                               bloch_vector, build_spin_system, classical_step,
+from permsym.errors import CapacityError, DomainError, IntegrityError
+from permsym.kickedtop import (KickedTopParams, _check_unitary, _real_trace,
+                               angular_momentum_matrices, bloch_vector,
+                               build_spin_system, classical_step,
                                classical_tangent_step, ehrenfest_time, evolve,
                                lyapunov_exponent, otoc_growth_rate,
-                               otoc_series, phase_portrait,
+                               otoc_series, parity_bases, phase_portrait,
                                saturation_residuals, time_averaged_tmi_grid,
                                timeseries_measures)
 from permsym.measures import LINEAR, VON_NEUMANN, block_entropy
+
+# integer and half-integer spins up to 20, kick strengths and rotation angles
+SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
+KICKS = st.floats(0.0, 10.0)
+ANGLES = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def coherent_point(theta, phi):
@@ -22,12 +31,56 @@ def coherent_point(theta, phi):
                      math.cos(theta)])
 
 
+def dense_otoc(params, n_max):
+    """Reference C2(n), C4(n): full-size conjugation Jx(n+1) = U^dag Jx(n) U
+    and dense traces, four d x d products per kick."""
+    system = build_spin_system(params)
+    u, a = system.floquet, system.jx
+    a2 = a @ a
+    scale = params.j ** 4
+    c2 = [np.vdot(a2, a2).real / scale]
+    c4 = [c2[0]]
+    b = np.array(a)
+    for _ in range(n_max):
+        b = u.conj().T @ b @ u
+        c2.append(np.vdot(a2, b @ b).real / scale)
+        p = b @ a
+        c4.append(np.einsum("ij,ji->", p, p).real / scale)
+    return np.array(c2), np.array(c4)
+
+
+def parity_operator(dim):
+    """Pi = S F: F flips m -> -m, S = diag((-1)^i) in the ascending basis."""
+    return np.diag((-1.0) ** np.arange(dim))[:, ::-1]
+
+
+def assert_matches_dense(params, n_max):
+    series = otoc_series(params, n_max)
+    c2, c4 = dense_otoc(params, n_max)
+    scale = np.abs(c2).max()
+    assert series.f[0] == 0.0
+    assert np.abs(series.c2 - c2).max() <= 1e-12 * scale
+    assert np.abs(series.c4 - c4).max() <= 1e-12 * scale
+    assert np.abs(series.f - 2 * (c2 - c4)).max() <= 1e-12 * scale
+
+
 class TestSpinSystem:
     def test_params_validation(self):
         with pytest.raises(DomainError):
             KickedTopParams(0.3, 1.0)
         with pytest.raises(DomainError):
             KickedTopParams(2.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                     (2.0, math.inf, 1.0), (2.0, math.nan, 1.0),
+                                     (2.0, 1.0, math.nan), (2.0, 1.0, -math.inf)])
+    def test_non_finite_params(self, bad):
+        with pytest.raises(DomainError):
+            KickedTopParams(*bad)
+
+    def test_nan_fails_unitarity_check(self):
+        with pytest.raises(IntegrityError):
+            _check_unitary(np.full((2, 2), np.nan))
 
     def test_commutator_invariant(self):
         for j in (0.5, 1.0, 7.5, 20.0):
@@ -232,6 +285,58 @@ class TestOtoc:
         s = otoc_series(KickedTopParams(5, 0.0), 6)
         with pytest.raises(DomainError):
             otoc_growth_rate(s, 0, 4)
+
+    @PROPERTY
+    @given(SPINS, KICKS, ANGLES, st.integers(1, 8))
+    def test_sectors_match_dense_oracle(self, j, k, p, n_max):
+        assert_matches_dense(KickedTopParams(j, k, p), n_max)
+
+    def test_real_trace_judged_against_series_bound(self):
+        # the step-1 C4 trace of j=1, k=6, p=pi/2 as the full-size products
+        # give it: both parts are round-off, so the real part is no scale
+        # for the imaginary one; the bound j^2 Tr(Jx^2) is 2 at j=1
+        assert _real_trace(complex(-2.26e-31, 2.55e-32), 2.0) == -2.26e-31
+        for bad in (complex(1.0, 1e-6), complex(math.nan, 0.0),
+                    complex(1.0, math.nan), complex(math.inf, 0.0)):
+            with pytest.raises(IntegrityError):
+                _real_trace(bad, 2.0)
+
+    def test_round_off_traces_scan(self):
+        # C4 is exactly 0 at some steps (j=1, p=pi/2); the imaginary part of
+        # a trace is judged against a bound fixed for the series, not
+        # against a real part that is itself round-off
+        for two_j in range(1, 41):
+            for k in (0.0, 1.0, 6.0):
+                for p in (math.pi / 2, 1.1):
+                    assert_matches_dense(KickedTopParams(two_j / 2, k, p), 12)
+
+    def test_capacity_cap(self):
+        with pytest.raises(CapacityError):
+            otoc_series(KickedTopParams(5000.0, 1.0), 1)
+
+
+class TestParity:
+    @PROPERTY
+    @given(SPINS, KICKS, ANGLES)
+    def test_commutes_with_floquet_and_flips_jx(self, j, k, p):
+        system = build_spin_system(KickedTopParams(j, k, p))
+        pi = parity_operator(system.dim)
+        assert np.abs(pi @ system.floquet - system.floquet @ pi).max() < 1e-12
+        assert np.abs(pi @ system.jx + system.jx @ pi).max() < 1e-12 * j
+
+    @PROPERTY
+    @given(SPINS)
+    def test_bases_are_eigenbases(self, j):
+        dim = round(2 * j) + 1
+        pi = parity_operator(dim)
+        v_e, v_o = parity_bases(dim)
+        assert v_e.shape[1] == (dim + 1) // 2 and v_o.shape[1] == dim // 2
+        lam = np.vdot(v_e[:, 0], pi @ v_e[:, 0])
+        assert lam ** 2 == pytest.approx((-1) ** (dim - 1), abs=1e-15)
+        np.testing.assert_allclose(pi @ v_e, lam * v_e, atol=1e-15)
+        np.testing.assert_allclose(pi @ v_o, -lam * v_o, atol=1e-15)
+        full = np.hstack([v_e, v_o])
+        np.testing.assert_allclose(full.conj().T @ full, np.eye(dim), atol=1e-15)
 
 
 class TestTimeseries:
