@@ -9,10 +9,9 @@ concentration-of-measure checks.
 from .concentration import (empirical_concentration, levy_bound,
                             lipschitz_bound_linear, lipschitz_bound_tmi,
                             lipschitz_bound_vn)
-from .core import (CoeffMatrix, PSState, block_density, block_eigenvalues,
-                   coefficient_matrix, coherent_state, dicke_norm,
-                   embed_coeff, embed_coeff_table, embed_to_full, load_state,
-                   reduced_density_matrix, save_state)
+from .core import (PSState, block_eigenvalues, coefficient_matrix,
+                   coherent_state, dicke_norm, embed_coeff, embed_coeff_table,
+                   embed_to_full, load_state, reduced_density_matrix, save_state)
 from .ensembles import (EnsembleSpec, SpectralHistogram, avg_linear_entropy_ps,
                         avg_linear_entropy_wishart, avg_purity_ps,
                         avg_tmi_linear_ps_111, avg_tmi_linear_ps_mmm,

@@ -7,7 +7,8 @@ each output.  Floats are written with shortest round-trip formatting, so
 identical runs produce byte-identical data files regardless of how the
 work is sharded.
 
-Exit codes: 0 success, 2 validation failure, 3 capacity exceeded.
+Exit codes: 0 success, 2 invalid input (DomainError), 3 capacity cap exceeded
+(CapacityError), 4 failed numerical health check (IntegrityError).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .ensembles import (EnsembleSpec, avg_linear_entropy_ps, avg_purity_ps,
                         avg_vn_entropy_ps, mc_block_entropy, mc_purity_sweep,
                         mc_tmi_full_samples, mc_tmi_samples, page_entropy,
                         spectral_histogram, stream)
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, IntegrityError
 from .kickedtop import (KickedTopParams, lyapunov_exponent, otoc_series,
                         phase_portrait, saturation_residuals,
                         time_averaged_tmi_grid, timeseries_measures)
@@ -64,8 +65,21 @@ def _write_rows(path, fmt, header, rows):
             fh.write("\n")
 
 
+def _parse_list(text, typ, what):
+    try:
+        return [typ(part) for part in str(text).split(",")]
+    except ValueError:
+        raise DomainError(f"{what} must be comma-separated {typ.__name__}s, got {text!r}") from None
+
+
+def _parse_kind(text):
+    if text not in KINDS:
+        raise DomainError(f"entropy kind {text!r} must be one of {', '.join(KINDS)}")
+    return KINDS[text]
+
+
 def _parse_blocks(text):
-    parts = [int(p) for p in str(text).split(",")]
+    parts = _parse_list(text, int, "blocks")
     if len(parts) != 3:
         raise DomainError(f"blocks must be three comma-separated sizes, got {text!r}")
     return tuple(parts)
@@ -73,13 +87,10 @@ def _parse_blocks(text):
 
 def _parse_functional(text):
     parts = str(text).split(":")
-    if parts[0] in ("vn", "linear") and len(parts) == 2:
+    if parts[0] in ("vn", "linear") and len(parts) == 2 and parts[1].isdigit():
         return (parts[0], int(parts[1]))
     if parts[0] == "tmi" and len(parts) == 3:
-        sizes = tuple(int(p) for p in parts[1].split(","))
-        if len(sizes) != 3 or parts[2] not in KINDS:
-            raise DomainError(f"bad tmi functional {text!r}")
-        return ("tmi", sizes, KINDS[parts[2]])
+        return ("tmi", _parse_blocks(parts[1]), _parse_kind(parts[2]))
     raise DomainError(
         f"functional {text!r} must look like vn:2, linear:2 or tmi:1,1,1:linear")
 
@@ -103,7 +114,7 @@ def _exp_averages(p, seed, threads):
     n = p["n"]
     qs = list(range(1, n)) if p["sweep_q"] else [p["q"]]
     results = (mc_purity_sweep(n, p["samples"], seed, qs, threads=threads)
-               if p["samples"] > 0 else {})
+               if p["samples"] != 0 else {})
     rows = []
     for q in qs:
         analytic_p = avg_purity_ps(n, q)
@@ -135,7 +146,7 @@ def _exp_vn_scaling(p, seed, threads):
 def _exp_tmi_random(p, seed, threads):
     n = p["n"]
     blocks = _parse_blocks(p["blocks"])
-    kind = KINDS[p["kind"]]
+    kind = _parse_kind(p["kind"])
     rows = []
     if p["ensemble"] in ("ps", "both"):
         vals = mc_tmi_samples(n, blocks, kind, p["samples"], seed, threads=threads)
@@ -149,7 +160,7 @@ def _exp_tmi_random(p, seed, threads):
 
 
 def _exp_timeseries(p, seed, threads):
-    kinds = tuple(KINDS[k] for k in str(p["kinds"]).split(","))
+    kinds = tuple(_parse_kind(k) for k in str(p["kinds"]).split(","))
     table = timeseries_measures(KickedTopParams(p["j"], p["k"], p["p"]),
                                 p["theta"], p["phi"], p["steps"],
                                 _parse_blocks(p["blocks"]), kinds)
@@ -172,7 +183,7 @@ def _exp_otoc(p, seed, threads):
 def _exp_tmi_grid(p, seed, threads):
     thetas, phis, grid = time_averaged_tmi_grid(
         KickedTopParams(p["j"], p["k"], p["p"]), (p["n_theta"], p["n_phi"]),
-        p["steps"], _parse_blocks(p["blocks"]), KINDS[p["kind"]])
+        p["steps"], _parse_blocks(p["blocks"]), _parse_kind(p["kind"]))
     header = ("theta\\phi",) + tuple(_fmt(v) for v in phis)
     rows = [(thetas[i],) + tuple(grid[i]) for i in range(len(thetas))]
     return "tmi_grid", header, rows
@@ -195,7 +206,7 @@ def _exp_lyapunov(p, seed, threads):
 
 def _exp_concentration(p, seed, threads):
     functional = _parse_functional(p["functional"])
-    epsilons = [float(e) for e in str(p["epsilons"]).split(",")]
+    epsilons = _parse_list(p["epsilons"], float, "epsilons")
     rows = empirical_concentration(p["n"], functional, p["samples"], epsilons,
                                    seed, threads=threads)
     return "concentration", ("epsilon", "empirical_tail", "levy_bound", "stderr"), [
@@ -333,7 +344,10 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
     resolved = {k: d for k, (t, d, h) in spec.items()}
     for key, value in params.items():
         typ = spec[key][0]
-        resolved[key] = value if value is None or isinstance(value, typ) else typ(value)
+        try:
+            resolved[key] = value if value is None or isinstance(value, typ) else typ(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"parameter {key}={value!r} is not a {typ.__name__}") from None
 
     started = time.perf_counter()
     stem, header, rows = runner(resolved, seed, threads)
@@ -389,6 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path) -> dict:
+    """Parameter values from a JSON object file; unreadable input is a DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return dict(json.load(fh))
+    except (OSError, TypeError, ValueError) as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
@@ -397,11 +420,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        file_config = {}
-        if "config" in args:
-            with open(args.pop("config"), "r", encoding="utf-8") as fh:
-                file_config = json.load(fh)
-        merged = dict(file_config)
+        merged = _load_config(args.pop("config")) if "config" in args else {}
         merged.update(args)
         seed = int(merged.pop("seed", 0))
         out_dir = merged.pop("out", os.environ.get(OUTDIR_ENV, "."))
@@ -414,6 +433,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except IntegrityError as exc:
+        print(f"integrity error: {exc}", file=sys.stderr)
+        return 4
     for path in paths:
         print(path)
     return 0

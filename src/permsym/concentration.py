@@ -21,7 +21,7 @@ import numpy as np
 from .ensembles import _map_index_chunks, ps_amplitude_batch
 from .errors import DomainError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, block_spectra_batch,
-                       entropy_from_eigenvalues, tmi_batch)
+                       entropy_from_eigenvalues, tmi_batch, tmi_blocks)
 
 
 def lipschitz_bound_linear() -> float:
@@ -39,11 +39,10 @@ def lipschitz_bound_vn(block_qubits: int) -> float:
 
 def lipschitz_bound_tmi(q1: int, q2: int, q3: int, kind: EntropyKind) -> float:
     """Seven-term Lipschitz budget of the TMI (sum over its block entropies)."""
-    sizes = (q1, q2, q3, q1 + q2, q1 + q3, q2 + q3, q1 + q2 + q3)
     if kind.tag == "linear":
         return 7.0 * lipschitz_bound_linear()
     if kind.tag == "von_neumann":
-        return sum(lipschitz_bound_vn(q) for q in sizes)
+        return sum(lipschitz_bound_vn(q) for q in tmi_blocks(q1, q2, q3))
     raise DomainError(f"no Lipschitz bound for entropy kind {kind.tag!r}")
 
 
@@ -71,7 +70,7 @@ class ConcentrationRow:
 
 
 def _functional_sampler(n_qubits: int, functional):
-    """Return (per-chunk sampler, Lipschitz eta) for a tail experiment.
+    """Return (value of a batch of amplitude vectors, Lipschitz eta).
 
     functional is one of ("vn", q), ("linear", q) or ("tmi", (q1, q2, q3), kind).
     """
@@ -80,31 +79,21 @@ def _functional_sampler(n_qubits: int, functional):
         q = functional[1]
         kind = VON_NEUMANN if tag == "vn" else LINEAR
         eta = lipschitz_bound_vn(q) if tag == "vn" else lipschitz_bound_linear()
-
-        def worker(seed, start, count):
-            amps = ps_amplitude_batch(n_qubits, seed, count, start)
-            return entropy_from_eigenvalues(
-                block_spectra_batch(amps, n_qubits, q), kind)
-
-        return worker, eta
+        return (lambda amps: entropy_from_eigenvalues(
+            block_spectra_batch(amps, n_qubits, q), kind)), eta
     if tag == "tmi":
         sizes, kind = functional[1], functional[2]
-        eta = lipschitz_bound_tmi(*sizes, kind)
-
-        def worker(seed, start, count):
-            amps = ps_amplitude_batch(n_qubits, seed, count, start)
-            return tmi_batch(amps, n_qubits, sizes, kind)
-
-        return worker, eta
+        return (lambda amps: tmi_batch(amps, n_qubits, sizes, kind),
+                lipschitz_bound_tmi(*sizes, kind))
     raise DomainError(f"unknown functional {functional!r}")
 
 
 def functional_samples(n_qubits: int, functional, samples: int, seed: int,
                        chunk: int = 2048, threads: int = 1) -> np.ndarray:
     """Per-sample values of the functional over random PS states."""
-    worker, _ = _functional_sampler(n_qubits, functional)
-    return _map_index_chunks(samples, chunk, threads,
-                             lambda s, c: worker(seed, s, c))
+    value, _ = _functional_sampler(n_qubits, functional)
+    return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
+        ps_amplitude_batch(n_qubits, seed, count, start)))
 
 
 def empirical_concentration(n_qubits: int, functional, samples: int,
@@ -118,9 +107,8 @@ def empirical_concentration(n_qubits: int, functional, samples: int,
     """
     if samples < 1000:
         raise DomainError("tail estimation needs at least 10^3 samples")
-    worker, eta = _functional_sampler(n_qubits, functional)
-    values = _map_index_chunks(samples, chunk, threads,
-                               lambda s, c: worker(seed, s, c))
+    _, eta = _functional_sampler(n_qubits, functional)
+    values = functional_samples(n_qubits, functional, samples, seed, chunk, threads)
     dev = np.abs(values - values.mean())
     n_real = 2 * (n_qubits + 1)
     rows = []

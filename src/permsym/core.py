@@ -155,19 +155,7 @@ class PSState:
         return self.amplitudes.size - 1
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Bipartition coefficient matrix A for a block of q qubits."""
-
-    q: int
-    matrix: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return self.matrix.shape[0] + self.matrix.shape[1] - 2
-
-
-def coefficient_matrix(state: PSState, q: int) -> CoeffMatrix:
+def coefficient_matrix(state: PSState, q: int) -> np.ndarray:
     """Coefficient matrix A[m, n] = C[m, n] * a[m+n] of a q-qubit block.
 
     Tr(A A^dagger) = 1 by normalization of the state.
@@ -175,8 +163,7 @@ def coefficient_matrix(state: PSState, q: int) -> CoeffMatrix:
     n = state.n_qubits
     if not (1 <= q <= n - 1):
         raise DomainError(f"block size q={q} outside [1, {n - 1}]")
-    table, idx = _cached_block_arrays(n, q)
-    return CoeffMatrix(q, table * state.amplitudes[idx])
+    return _block_coefficients(state.amplitudes, n, q)
 
 
 def _block_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
@@ -188,22 +175,26 @@ def _block_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     return table * amplitudes[..., idx]
 
 
+def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+    """Gram matrix of the smaller side of the q | N-q split (batch friendly).
+
+    A A^dagger for q <= N - q, else A^T conj(A) = conj(A^dagger A).  Both
+    sides share every nonzero eigenvalue and the purity, so spectra and
+    purities cost min(q, N-q) + 1 dimensions.
+    """
+    a = _block_coefficients(amplitudes, n_qubits, q)
+    if 2 * q > n_qubits:
+        a = np.swapaxes(a, -1, -2)
+    return a @ np.conj(np.swapaxes(a, -1, -2))
+
+
 def reduced_density_matrix(state: PSState, q: int) -> np.ndarray:
-    """Reduced density matrix of a q-qubit block, in the block Dicke basis.
+    """Reduced density matrix of a q-qubit block (0 <= q <= N), Dicke basis.
 
     Returns the (q+1) x (q+1) Gram matrix A A^dagger: Hermitian, PSD,
     unit trace, rank <= min(q+1, N-q+1).  Which qubits form the block is
     immaterial by permutation symmetry.
     """
-    n = state.n_qubits
-    if not (1 <= q <= n - 1):
-        raise DomainError(f"block size q={q} outside [1, {n - 1}]")
-    a = _block_coefficients(state.amplitudes, n, q)
-    return a @ a.conj().T
-
-
-def block_density(state: PSState, q: int) -> np.ndarray:
-    """Like reduced_density_matrix but also covering q = 0 and q = N."""
     n = state.n_qubits
     if not (0 <= q <= n):
         raise DomainError(f"block size q={q} outside [0, {n}]")
@@ -215,19 +206,13 @@ def block_eigenvalues(state: PSState, q: int) -> np.ndarray:
     """Spectrum of the q-qubit reduced density matrix (ascending, length q+1).
 
     For q > N/2 the eigenvalues are computed from the smaller Gram matrix
-    A^dagger A and padded with exact zeros (the two share all nonzeros).
+    and padded with exact zeros (the two share all nonzeros).
     """
     n = state.n_qubits
     if not (0 <= q <= n):
         raise DomainError(f"block size q={q} outside [0, {n}]")
-    a = _block_coefficients(state.amplitudes, n, q)
-    rows, cols = a.shape
-    if rows <= cols:
-        lam = np.linalg.eigvalsh(a @ a.conj().T)
-    else:
-        lam = np.linalg.eigvalsh(a.conj().T @ a)
-        lam = np.concatenate([np.zeros(rows - cols), lam])
-    return lam
+    lam = np.linalg.eigvalsh(smaller_gram(state.amplitudes, n, q))
+    return np.concatenate([np.zeros(q + 1 - lam.size), lam])
 
 
 def embed_to_full(state: PSState) -> np.ndarray:

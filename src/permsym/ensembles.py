@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, _block_coefficients, log_binomial
+from .core import PSState, log_binomial
 from .errors import DomainError
-from .measures import (VON_NEUMANN, EntropyKind, block_spectra_batch,
-                       entropy_from_eigenvalues, tmi_batch)
+from .measures import (VON_NEUMANN, EntropyKind, _check_blocks,
+                       block_purity_batch, block_spectra_batch, entropy,
+                       entropy_from_eigenvalues, tmi_batch, tmi_blocks, tmi_sum)
 
 LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -68,7 +69,10 @@ def sample_wishart_rdm(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray
 
 
 def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Rows i = start..start+count-1 of the PS sample sequence for `seed`."""
+    """Rows i = start..start+count-1 of the PS sample sequence for `seed`.
+
+    Each row is Haar-random in C^(N+1): a Haar state in C^d is a PS sample of d-1 qubits.
+    """
     out = np.empty((count, n_qubits + 1), dtype=complex)
     for i in range(count):
         z = _complex_normals(stream(seed, start + i), n_qubits + 1)
@@ -76,17 +80,10 @@ def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> 
     return out
 
 
-def haar_state_batch(dim: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Haar-random unit vectors in C^dim, one per-sample stream each."""
-    out = np.empty((count, dim), dtype=complex)
-    for i in range(count):
-        z = _complex_normals(stream(seed, start + i), dim)
-        out[i] = z / np.linalg.norm(z)
-    return out
-
-
 def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
+    if total < 1:
+        raise DomainError(f"sample count {total} must be >= 1")
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -94,6 +91,13 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     else:
         parts = [worker(s, c) for s, c in ranges]
     return np.concatenate(parts, axis=0)
+
+
+def _mc_samples(n_qubits: int, samples: int, seed: int, value, chunk: int,
+                threads: int) -> np.ndarray:
+    """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`."""
+    return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
+        ps_amplitude_batch(n_qubits, seed, count, start)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +145,16 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int = 512, threads: int = 1)
     """Pooled unscaled eigenvalues of all sampled reduced density matrices."""
     if spec.kind == "ps":
         n, q = spec.dims
+        return _mc_samples(n, spec.sample_count, spec.seed,
+                           lambda amps: block_spectra_batch(amps, n, q),
+                           chunk, threads).ravel()
+    n1, n2 = spec.dims
 
-        def worker(start, count):
-            amps = ps_amplitude_batch(n, spec.seed, count, start)
-            return block_spectra_batch(amps, n, q)
-    else:
-        n1, n2 = spec.dims
-
-        def worker(start, count):
-            rhos = np.empty((count, n1, n1), dtype=complex)
-            for i in range(count):
-                rhos[i] = sample_wishart_rdm(n1, n2, stream(spec.seed, start + i))
-            return np.linalg.eigvalsh(rhos)
+    def worker(start, count):
+        rhos = np.empty((count, n1, n1), dtype=complex)
+        for i in range(count):
+            rhos[i] = sample_wishart_rdm(n1, n2, stream(spec.seed, start + i))
+        return np.linalg.eigvalsh(rhos)
 
     return _map_index_chunks(spec.sample_count, chunk, threads, worker).ravel()
 
@@ -280,15 +282,8 @@ def avg_tmi_vn_wishart(q: int, n: int) -> float:
 def avg_tmi_vn_wishart_blocks(n: int, sizes) -> float:
     """Page-deviation estimate of the unrestricted-ensemble vN TMI for
     arbitrary block sizes (reduces to avg_tmi_vn_wishart when equal)."""
-    q1, q2, q3 = sizes
-    if min(sizes) < 1 or q1 + q2 + q3 > n:
-        raise DomainError(f"invalid blocks {sizes} for N={n}")
-
-    def dev(q):
-        return -(2.0 ** (2 * q - n - 1)) / LN2
-
-    return (dev(q1) + dev(q2) + dev(q3) - dev(q1 + q2) - dev(q1 + q3)
-            - dev(q2 + q3) + dev(q1 + q2 + q3))
+    _check_blocks(n, sizes)
+    return tmi_sum([-(2.0 ** (2 * q - n - 1)) / LN2 for q in tmi_blocks(*sizes)])
 
 
 def avg_tmi_linear_ps_111(n: int) -> float:
@@ -347,47 +342,21 @@ def _summarize(values: np.ndarray) -> MCResult:
     return MCResult(float(values.mean()), float(sd / math.sqrt(n)), n)
 
 
-def mc_purity_samples(n: int, q: int, samples: int, seed: int,
-                      chunk: int = 4096, threads: int = 1) -> np.ndarray:
-    """Per-sample tr(rho_Q^2) over random PS states (Frobenius route, no eig)."""
-    _check_ps_block(n, q)
-
-    def worker(start, count):
-        amps = ps_amplitude_batch(n, seed, count, start)
-        a = _block_coefficients(amps, n, q)
-        if a.shape[-2] > a.shape[-1]:
-            a = np.swapaxes(a, -1, -2)
-        gram = a @ np.conj(np.swapaxes(a, -1, -2))
-        return np.sum(np.abs(gram) ** 2, axis=(-1, -2))
-
-    return _map_index_chunks(samples, chunk, threads, worker)
-
-
 def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
                              seed: int, chunk: int = 2048, threads: int = 1) -> np.ndarray:
     """Per-sample block entropy over random PS states."""
     _check_ps_block(n, q)
-
-    def worker(start, count):
-        amps = ps_amplitude_batch(n, seed, count, start)
-        return entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind)
-
-    return _map_index_chunks(samples, chunk, threads, worker)
+    return _mc_samples(
+        n, samples, seed,
+        lambda amps: entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind),
+        chunk, threads)
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
                    chunk: int = 2048, threads: int = 1) -> np.ndarray:
     """Per-sample TMI over random PS states."""
-
-    def worker(start, count):
-        amps = ps_amplitude_batch(n, seed, count, start)
-        return tmi_batch(amps, n, sizes, kind)
-
-    return _map_index_chunks(samples, chunk, threads, worker)
-
-
-def mc_purity(n, q, samples, seed, **kw) -> MCResult:
-    return _summarize(mc_purity_samples(n, q, samples, seed, **kw))
+    return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
+                       chunk, threads)
 
 
 def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
@@ -400,20 +369,15 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
     qs = list(qs) if qs is not None else list(range(1, n))
     for q in qs:
         _check_ps_block(n, q)
-
-    def worker(start, count):
-        amps = ps_amplitude_batch(n, seed, count, start)
-        out = np.empty((count, len(qs)))
-        for col, q in enumerate(qs):
-            a = _block_coefficients(amps, n, q)
-            if a.shape[-2] > a.shape[-1]:
-                a = np.swapaxes(a, -1, -2)
-            gram = a @ np.conj(np.swapaxes(a, -1, -2))
-            out[:, col] = np.sum(np.abs(gram) ** 2, axis=(-1, -2))
-        return out
-
-    values = _map_index_chunks(samples, chunk, threads, worker)
+    values = _mc_samples(
+        n, samples, seed,
+        lambda amps: np.stack([block_purity_batch(amps, n, q) for q in qs], axis=-1),
+        chunk, threads)
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
+
+
+def mc_purity(n, q, samples, seed, **kw) -> MCResult:
+    return mc_purity_sweep(n, samples, seed, [q], **kw)[q]
 
 
 def mc_block_entropy(n, q, kind, samples, seed, **kw) -> MCResult:
@@ -459,27 +423,21 @@ def tmi_full_state(psi: np.ndarray, n_qubits: int, sizes,
                    kind: EntropyKind = VON_NEUMANN) -> float:
     """TMI between the first q1, next q2, next q3 qubits of a full 2^N state."""
     q1, q2, q3 = sizes
-    if min(sizes) < 1 or q1 + q2 + q3 > n_qubits:
-        raise DomainError(f"invalid blocks {sizes} for N={n_qubits}")
+    _check_blocks(n_qubits, sizes)
     a = list(range(q1))
     b = list(range(q1, q1 + q2))
     c = list(range(q1 + q2, q1 + q2 + q3))
-
-    def s(qubits):
-        lam = np.linalg.eigvalsh(reduced_density_full(psi, qubits, n_qubits))
-        return entropy_from_eigenvalues(lam, kind)
-
-    return float(s(a) + s(b) + s(c) - s(a + b) - s(b + c) - s(a + c) + s(a + b + c))
+    return tmi_sum([entropy(reduced_density_full(psi, qubits, n_qubits), kind, check=False)
+                    for qubits in tmi_blocks(a, b, c)])
 
 
 def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
                         seed: int) -> np.ndarray:
     """Per-sample TMI of Haar-random full 2^N states (Wishart reductions)."""
-    out = np.empty(samples)
-    for i in range(samples):
-        psi = haar_state_batch(2 ** n_qubits, seed, 1, start=i)[0]
-        out[i] = tmi_full_state(psi, n_qubits, sizes, kind)
-    return out
+    # chunk=1 holds one 2^N-dimensional state in memory at a time
+    return _mc_samples(2 ** n_qubits - 1, samples, seed,
+                       lambda batch: [tmi_full_state(batch[0], n_qubits, sizes, kind)],
+                       chunk=1, threads=1)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps DomainError to exit code 2 and CapacityError to exit code 3.
+The CLI maps DomainError to exit code 2, CapacityError to 3 and IntegrityError to 4.
 """
 
 

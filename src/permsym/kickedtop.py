@@ -23,9 +23,15 @@ import numpy as np
 
 from .core import PSState, coherent_amplitudes
 from .errors import CapacityError, DomainError, IntegrityError
-from .measures import LINEAR, VON_NEUMANN, EntropyKind, block_entropies_batch, tmi_batch
+from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
+                       block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
 
 DIM_CAP = 8192  # default cap on 2j+1; O(d^3) work must be a conscious choice
+
+
+def _check_finite(**values) -> None:
+    if not all(map(math.isfinite, values.values())):
+        raise DomainError(", ".join(f"{k}={v}" for k, v in values.items()) + " must be finite")
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,7 @@ class KickedTopParams:
     p: float = math.pi / 2.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.j, self.k, self.p)):
-            raise DomainError(f"j={self.j}, k={self.k}, p={self.p} must be finite")
+        _check_finite(j=self.j, k=self.k, p=self.p)
         if round(2 * self.j) < 1 or abs(2 * self.j - round(2 * self.j)) > 1e-9:
             raise DomainError(f"j={self.j} must be a positive half-integer")
         if self.k < 0:
@@ -181,7 +186,7 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
     for step in range(n_steps):
         traj[step + 1] = u @ traj[step]
 
-    sizes = sorted({q1, q2, q3, q1 + q2, q1 + q3, q2 + q3, q1 + q2 + q3})
+    sizes = sorted(set(tmi_blocks(q1, q2, q3)))
     table = {"step": np.arange(n_steps + 1)}
     for kind in kinds:
         s = _chunked_block_entropies(traj, n, sizes, kind)
@@ -189,8 +194,7 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
         table[f"S_A_{label}"] = s[q1]
         table[f"I2_AB_{label}"] = s[q1] + s[q2] - s[q1 + q2]
         table[f"I2_A_BC_{label}"] = s[q1] + s[q2 + q3] - s[q1 + q2 + q3]
-        table[f"I3_{label}"] = (s[q1] + s[q2] + s[q3] - s[q1 + q2] - s[q1 + q3]
-                                - s[q2 + q3] + s[q1 + q2 + q3])
+        table[f"I3_{label}"] = tmi_sum([s[q] for q in tmi_blocks(q1, q2, q3)])
     return table
 
 
@@ -441,6 +445,7 @@ def lyapunov_exponent(k: float, p: float, n_transient: int = 200,
     plane); log stretch factors are averaged after the transient, then
     over trajectories.
     """
+    _check_finite(k=k, p=p)
     if n_transient < 0 or n_average < 1 or n_trajectories < 1:
         raise DomainError("iteration counts must be positive")
     if initial_points is None:
@@ -474,6 +479,7 @@ def phase_portrait(k: float, p: float, n_points: int, n_steps: int,
     Returns rows (phi, Z, trajectory_id, step) for n_points random seeds
     iterated n_steps times (step 0 included).
     """
+    _check_finite(k=k, p=p)
     if n_points < 1 or n_steps < 1:
         raise DomainError("counts must be positive")
     points = _random_sphere_points(n_points, rng)
@@ -508,8 +514,7 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     if n_theta < 1 or n_phi < 1 or n_steps < 1:
         raise DomainError("grid shape and step count must be positive")
     n = params.n_qubits
-    if sum(blocks) > n:
-        raise DomainError(f"blocks {blocks} exceed the {n}-qubit system")
+    _check_blocks(n, blocks)
     system = build_spin_system(params, dim_cap=dim_cap)
     u_t = floquet_dicke(system).T.copy()
 

@@ -2,7 +2,7 @@
 
 All logarithms are base 2, so von Neumann and Renyi entropies are in bits.
 Tripartite mutual information is evaluated through its seven-entropy
-expansion S_A + S_B + S_C - S_AB - S_BC - S_AC + S_ABC, which makes the
+expansion S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC, which makes the
 symmetry under block permutations exact by construction and reuses the
 fact that for PS states a block entropy depends only on the block size.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, _block_coefficients, block_eigenvalues
+from .core import PSState, block_eigenvalues, smaller_gram
 from .errors import DomainError, IntegrityError
 
 EIG_CLIP = 1e-12  # eigenvalues below this are treated as exact zeros
@@ -95,12 +95,12 @@ def block_spectra_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     """
     if q == 0 or q == n_qubits:
         return np.ones(amplitudes.shape[:-1] + (1,))
-    a = _block_coefficients(amplitudes, n_qubits, q)
-    if a.shape[-2] <= a.shape[-1]:
-        gram = a @ np.conj(np.swapaxes(a, -1, -2))
-    else:
-        gram = np.conj(np.swapaxes(a, -1, -2)) @ a
-    return np.linalg.eigvalsh(gram)
+    return np.linalg.eigvalsh(smaller_gram(amplitudes, n_qubits, q))
+
+
+def block_purity_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+    """tr(rho_q^2) of q-qubit blocks for a batch of states (Frobenius, no eig)."""
+    return np.sum(np.abs(smaller_gram(amplitudes, n_qubits, q)) ** 2, axis=(-1, -2))
 
 
 def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,
@@ -126,6 +126,17 @@ def mutual_information(state: PSState, q_a: int, q_b: int,
     return float(s[q_a] + s[q_b] - s[q_a + q_b])
 
 
+def tmi_blocks(a, b, c) -> tuple:
+    """Blocks A, B, C, AB, AC, BC, ABC of the TMI, from sizes or qubit lists a, b, c."""
+    return (a, b, c, a + b, a + c, b + c, a + b + c)
+
+
+def tmi_sum(entropies):
+    """S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC of entropies in tmi_blocks order."""
+    s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc = entropies
+    return s_a + s_b + s_c - s_ab - s_ac - s_bc + s_abc
+
+
 def tmi(state: PSState, q1: int, q2: int, q3: int,
         kind: EntropyKind = VON_NEUMANN) -> float:
     """Tripartite mutual information I3 between blocks of q1, q2, q3 qubits.
@@ -133,18 +144,12 @@ def tmi(state: PSState, q1: int, q2: int, q3: int,
     Evaluated as the seven-term entropy expansion; positive values mean
     redundant bipartite sharing, negative values multipartite sharing.
     """
-    _check_blocks(state.n_qubits, (q1, q2, q3))
-    sizes = (q1, q2, q3, q1 + q2, q1 + q3, q2 + q3, q1 + q2 + q3)
-    s = block_entropies_batch(state.amplitudes, state.n_qubits, sizes, kind)
-    return float(s[q1] + s[q2] + s[q3] - s[q1 + q2] - s[q1 + q3] - s[q2 + q3]
-                 + s[q1 + q2 + q3])
+    return float(tmi_batch(state.amplitudes, state.n_qubits, (q1, q2, q3), kind))
 
 
 def tmi_batch(amplitudes: np.ndarray, n_qubits: int, sizes, kind: EntropyKind):
     """I3 for a batch of amplitude vectors (shape (..., N+1) -> (...))."""
-    q1, q2, q3 = sizes
     _check_blocks(n_qubits, sizes)
-    wanted = (q1, q2, q3, q1 + q2, q1 + q3, q2 + q3, q1 + q2 + q3)
-    s = block_entropies_batch(amplitudes, n_qubits, wanted, kind)
-    return (s[q1] + s[q2] + s[q3] - s[q1 + q2] - s[q1 + q3] - s[q2 + q3]
-            + s[q1 + q2 + q3])
+    blocks = tmi_blocks(*sizes)
+    s = block_entropies_batch(amplitudes, n_qubits, blocks, kind)
+    return tmi_sum([s[q] for q in blocks])

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from permsym.cli import list_experiments, main, run_experiment
+from permsym.errors import IntegrityError
 
 
 def run(args):
@@ -80,11 +81,51 @@ class TestExitCodes:
     def test_bad_functional(self, tmp_path):
         assert run(["concentration", "--functional", "junk", "--out", tmp_path]) == 2
 
-    @pytest.mark.parametrize("flag,value", [("--k", "inf"), ("--p", "nan"), ("--j", "nan")])
-    def test_non_finite_kicked_top_params(self, tmp_path, flag, value, capsys):
-        assert run(["otoc", "--j", 2, "--steps", 3, flag, value, "--out", tmp_path]) == 2
+    @pytest.mark.parametrize("args", [
+        pytest.param(["otoc", "--j", 2, "--steps", 3, "--k", "inf"], id="--k-inf"),
+        pytest.param(["otoc", "--j", 2, "--steps", 3, "--p", "nan"], id="--p-nan"),
+        pytest.param(["otoc", "--j", "nan", "--steps", 3], id="--j-nan"),
+        pytest.param(["lyapunov", "--k", "inf", "--average", 10, "--trajectories", 2,
+                      "--transient", 0], id="lyapunov--k-inf"),
+        pytest.param(["phase-portrait", "--k", "nan", "--points", 2, "--steps", 2],
+                     id="phase-portrait--k-nan"),
+    ])
+    def test_non_finite_kicked_top_params(self, tmp_path, args, capsys):
+        assert run(args + ["--out", tmp_path]) == 2
         assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "otoc.csv").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["tmi-grid", "--blocks", "1,a,2"],
+        ["concentration", "--functional", "vn:x"],
+        ["concentration", "--epsilons", "0.1,x"],
+        ["tmi-random", "--kind", "renyi"],
+        ["tmi-random", "--samples", 0],
+        ["vn-scaling", "--n-min", 4, "--n-max", 4, "--samples", 0],
+        ["averages", "--samples", -5],
+        ["averages", "--config", "missing.json"],
+        ["averages", "--config", "broken.json"],
+        ["averages", "--config", "typed.json"],
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, monkeypatch, args, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "typed.json").write_text(json.dumps({"n": "twelve"}))
+        assert run(args + ["--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_integrity_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        import permsym.kickedtop as kickedtop
+
+        def fail(u):
+            raise IntegrityError("Floquet unitarity defect 1.00e-03 > 1e-10")
+        monkeypatch.setattr(kickedtop, "_check_unitary", fail)
+        assert run(["otoc", "--j", 2, "--steps", 3, "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputs:

@@ -8,8 +8,7 @@ from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
                           coherent_state, dicke_norm, dicke_vector,
                           embed_coeff, embed_coeff_table,
                           embed_coeff_table_direct, embed_to_full, load_state,
-                          block_density, block_eigenvalues,
-                          reduced_density_matrix, save_state)
+                          block_eigenvalues, reduced_density_matrix, save_state)
 from permsym.errors import CapacityError, DomainError
 
 
@@ -115,20 +114,20 @@ class TestCoefficientMatrix:
             [math.sqrt(2) * a[1] / 2, 2 * a[2] / math.sqrt(6), math.sqrt(2) * a[3] / 2],
             [a[2] / math.sqrt(6), math.sqrt(2) * a[3] / 2, a[4]],
         ])
-        np.testing.assert_allclose(cm.matrix, want, atol=1e-15)
+        np.testing.assert_allclose(cm, want, atol=1e-15)
 
     def test_all_up_state(self):
         n = 7
         amps = np.zeros(n + 1)
         amps[0] = 1.0
         for q in (1, 3, 6):
-            mat = coefficient_matrix(PSState(amps), q).matrix
+            mat = coefficient_matrix(PSState(amps), q)
             assert mat[0, 0] == pytest.approx(1.0)
             assert np.abs(mat).sum() == pytest.approx(1.0)
 
     def test_frobenius_normalization(self):
         state = random_ps_state(6, seed=1)
-        mat = coefficient_matrix(state, 3).matrix
+        mat = coefficient_matrix(state, 3)
         assert np.sum(np.abs(mat) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_block_size_bounds(self):
@@ -193,8 +192,8 @@ class TestReducedDensityMatrix:
 
     def test_block_density_edges(self):
         state = random_ps_state(5, seed=6)
-        np.testing.assert_allclose(block_density(state, 0), [[1.0]], atol=1e-14)
-        full = block_density(state, 5)
+        np.testing.assert_allclose(reduced_density_matrix(state, 0), [[1.0]], atol=1e-14)
+        full = reduced_density_matrix(state, 5)
         np.testing.assert_allclose(
             full, np.outer(state.amplitudes, state.amplitudes.conj()), atol=1e-14)
 

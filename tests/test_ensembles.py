@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
+
+from permsym.concentration import functional_samples
 
 from permsym.ensembles import (EnsembleSpec, avg_linear_entropy_ps,
                                avg_linear_entropy_wishart, avg_purity_ps,
@@ -13,7 +17,8 @@ from permsym.ensembles import (EnsembleSpec, avg_linear_entropy_ps,
                                comb_identity_residual, ensemble_eigenvalues,
                                fit_vn_alpha,
                                marchenko_pastur_density, mc_purity,
-                               mc_purity_sweep, mc_tmi, page_entropy,
+                               mc_purity_sweep, mc_tmi, mc_tmi_samples,
+                               page_entropy,
                                ps_amplitude_batch, random_unitary,
                                reduced_density_full, sample_ps_state,
                                sample_wishart_rdm, spectral_histogram, stream,
@@ -249,6 +254,28 @@ class TestMonteCarlo:
     def test_fit_alpha_near_two_thirds(self):
         alpha = fit_vn_alpha([(60, 30), (80, 40)], samples=300, seed=2)
         assert 0.55 < alpha < 0.8
+
+
+class TestShardInvariance:
+    """Monte Carlo results do not depend on how the index range is split."""
+
+    SPLITS = [{}, {"chunk": 1}, {"chunk": 7}, {"threads": 2},
+              {"chunk": 1, "threads": 2}, {"chunk": 7, "threads": 2}]
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.integers(6, 14), st.integers(1, 30), st.integers(0, 2 ** 63 - 1))
+    def test_splits_give_identical_results(self, n, samples, seed):
+        def runs(fn):
+            return [fn(split) for split in self.SPLITS]
+
+        for out in (
+            runs(lambda kw: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, **kw)),
+            runs(lambda kw: functional_samples(n, ("vn", 3), samples, seed, **kw)),
+        ):
+            for other in out[1:]:
+                assert other.tobytes() == out[0].tobytes()
+        sweeps = runs(lambda kw: mc_purity_sweep(n, samples, seed, [1, 3, n - 2], **kw))
+        assert all(other == sweeps[0] for other in sweeps[1:])
 
 
 class TestFullSpace:

@@ -1,13 +1,44 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsym.core import PSState, coherent_state, embed_to_full
 from permsym.errors import DomainError, IntegrityError
-from permsym.measures import (LINEAR, VON_NEUMANN, entropy,
+from permsym.measures import (LINEAR, VON_NEUMANN, block_purity_batch,
+                              block_spectra_batch, entropy,
                               entropy_from_eigenvalues, mutual_information,
-                              renyi, tmi)
+                              renyi, tmi, tmi_batch)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+KINDS = st.sampled_from([VON_NEUMANN, LINEAR, renyi(2.0)])
+
+
+def random_amplitudes(n, seed, count=3):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, n + 1)) + 1j * rng.standard_normal((count, n + 1))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+@st.composite
+def states_and_block(draw, lo=0):
+    """(N, seed, q) with 3 <= N <= 24 and lo <= q <= N - lo."""
+    n = draw(st.integers(3, 24))
+    return n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(lo, n - lo))
+
+
+@st.composite
+def states_and_blocks(draw):
+    """(N, seed, (q1, q2, q3)) with q1 + q2 + q3 <= N."""
+    n = draw(st.integers(3, 24))
+    q1 = draw(st.integers(1, n - 2))
+    q2 = draw(st.integers(1, n - q1 - 1))
+    q3 = draw(st.integers(1, n - q1 - q2))
+    return n, draw(st.integers(0, 2 ** 32 - 1)), (q1, q2, q3)
 
 
 def random_ps_state(n, seed):
@@ -160,3 +191,32 @@ class TestTmi:
             for q in (2, 4):
                 assert block_entropy(state, q, kind) == pytest.approx(
                     block_entropy(state, 9 - q, kind), abs=1e-9)
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(states_and_blocks(), KINDS)
+    def test_tmi_invariant_under_block_permutations(self, case, kind):
+        n, seed, sizes = case
+        amps = random_amplitudes(n, seed)
+        values = [tmi_batch(amps, n, perm, kind) for perm in itertools.permutations(sizes)]
+        for other in values[1:]:
+            np.testing.assert_allclose(other, values[0], rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(states_and_block())
+    def test_complementary_blocks_share_spectrum(self, case):
+        n, seed, q = case
+        amps = random_amplitudes(n, seed)
+        lam = block_spectra_batch(amps, n, q)
+        assert lam.shape == (3, min(q, n - q) + 1)  # solved on the smaller side
+        np.testing.assert_allclose(lam, block_spectra_batch(amps, n, n - q), rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(states_and_block(lo=1))
+    def test_frobenius_purity_matches_spectrum(self, case):
+        n, seed, q = case
+        amps = random_amplitudes(n, seed)
+        lam = block_spectra_batch(amps, n, q)
+        np.testing.assert_allclose(block_purity_batch(amps, n, q),
+                                   np.sum(lam ** 2, axis=-1), rtol=0, atol=1e-12)
