@@ -2,10 +2,11 @@
 
 One subcommand per experiment family; every run is fully determined by
 (config, seed) and emits data files plus a manifest.json recording the
-resolved config, seed, library version, wall time and a content hash of
-each output.  Floats are written with shortest round-trip formatting, so
-identical runs produce byte-identical data files regardless of how the
-work is sharded.
+resolved config, seed, library version, wall time, the environment
+(Python, numpy, scipy and BLAS versions, thread settings) and a content
+hash of each output.  Floats are written with shortest round-trip
+formatting, so identical runs produce byte-identical data files regardless
+of how the work is sharded.
 
 Exit codes: 0 success, 2 invalid input (DomainError), 3 capacity cap exceeded
 (CapacityError), 4 failed numerical health check (IntegrityError).
@@ -18,10 +19,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .concentration import empirical_concentration
@@ -70,6 +73,13 @@ def _parse_list(text, typ, what):
         return [typ(part) for part in str(text).split(",")]
     except ValueError:
         raise DomainError(f"{what} must be comma-separated {typ.__name__}s, got {text!r}") from None
+
+
+def _convert(value, typ, what):
+    try:
+        return typ(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what}={value!r} is not a {typ.__name__}") from None
 
 
 def _parse_kind(text):
@@ -331,6 +341,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _environment(threads: int) -> dict:
+    """Versions, BLAS build and thread settings the run computed with."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__,
+           "blas": {"name": blas.get("name"), "version": blas.get("version")},
+           "threads": threads}
+    env.update({var: os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                if var in os.environ})
+    return env
+
+
 def run_experiment(name: str, params: dict, seed: int, out_dir: str,
                    fmt: str = "csv", threads: int = 1) -> list:
     """Run one experiment and write its data file plus manifest.json.
@@ -341,13 +363,16 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
     for key in params:
         if key not in spec:
             raise DomainError(f"unknown parameter {key!r} for {name}")
+    if threads < 1:
+        raise DomainError(f"threads={threads} must be >= 1")
     resolved = {k: d for k, (t, d, h) in spec.items()}
     for key, value in params.items():
         typ = spec[key][0]
-        try:
-            resolved[key] = value if value is None or isinstance(value, typ) else typ(value)
-        except (TypeError, ValueError):
-            raise DomainError(f"parameter {key}={value!r} is not a {typ.__name__}") from None
+        # bool("false") is True: only a bool parameter takes a JSON boolean, and only one
+        if (typ is bool) != isinstance(value, bool):
+            raise DomainError(f"parameter {key}={value!r} is not a {typ.__name__}")
+        resolved[key] = value if value is None or isinstance(value, typ) else _convert(
+            value, typ, f"parameter {key}")
 
     started = time.perf_counter()
     stem, header, rows = runner(resolved, seed, threads)
@@ -362,6 +387,7 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
         "seed": seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
+        "env": _environment(threads),
         "outputs": [{"path": os.path.basename(data_path), "sha256": _sha256(data_path)}],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
@@ -422,10 +448,10 @@ def main(argv=None) -> int:
     try:
         merged = _load_config(args.pop("config")) if "config" in args else {}
         merged.update(args)
-        seed = int(merged.pop("seed", 0))
+        seed = _convert(merged.pop("seed", 0), int, "seed")
         out_dir = merged.pop("out", os.environ.get(OUTDIR_ENV, "."))
         fmt = merged.pop("format", "csv")
-        threads = int(merged.pop("threads", 1))
+        threads = _convert(merged.pop("threads", 1), int, "threads")
         paths = run_experiment(command, merged, seed, out_dir, fmt, threads)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,20 +100,6 @@ def embed_coeff_table(n_qubits: int, q: int) -> np.ndarray:
     return np.exp(logtab)
 
 
-def embed_coeff_table_direct(n_qubits: int, q: int) -> np.ndarray:
-    """Same table evaluated directly in log space (no recursion).
-
-    Kept as the independent cross-check for the recursion fill.
-    """
-    if not (0 <= q <= n_qubits):
-        raise DomainError(f"block size q={q} outside [0, {n_qubits}]")
-    m = np.arange(q + 1)[:, None]
-    n = np.arange(n_qubits - q + 1)[None, :]
-    lg = (log_binomial(q, m) + log_binomial(n_qubits - q, n)
-          - log_binomial(n_qubits, m + n))
-    return np.exp(0.5 * lg)
-
-
 @lru_cache(maxsize=None)
 def _cached_block_arrays(n_qubits: int, q: int):
     """Read-only (weights, index) pair for building coefficient matrices."""

@@ -10,7 +10,8 @@ random states.
 Reproducibility: every Monte Carlo sample i of a run with seed s is drawn
 from its own counter-based Philox stream keyed by (s, i).  Pooled results
 are therefore bit-identical no matter how the index range is sharded
-across workers.
+across workers.  Each chunk of indices builds one generator and re-keys
+it per sample, which gives the same bits as a fresh stream per sample.
 """
 
 from __future__ import annotations
@@ -35,15 +36,24 @@ _MASK64 = (1 << 64) - 1
 # seeded streams and samplers
 # ---------------------------------------------------------------------------
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
+def stream(seed: int, index: int = 0,
+           rng: np.random.Generator | None = None) -> np.random.Generator:
     """Counter-based generator for sample `index` of a run seeded by `seed`.
 
     Philox keyed by the 128-bit pair (seed, index): distinct indices give
     independent streams, so sharding a sample range over workers cannot
-    change any drawn value.
+    change any drawn value.  Given a Philox-backed `rng`, its whole state
+    is reset to that key (counter 0, empty buffers) and `rng` is returned:
+    the same bits as a fresh stream without building a generator.
     """
-    key = (int(index) << 64) | (int(seed) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=(int(index) << 64)
+                                                    | (int(seed) & _MASK64)))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _MASK64, int(index))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -72,11 +82,18 @@ def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> 
     """Rows i = start..start+count-1 of the PS sample sequence for `seed`.
 
     Each row is Haar-random in C^(N+1): a Haar state in C^d is a PS sample of d-1 qubits.
+    One generator serves the batch, re-keyed by `stream` for every row.
     """
-    out = np.empty((count, n_qubits + 1), dtype=complex)
-    for i in range(count):
-        z = _complex_normals(stream(seed, start + i), n_qubits + 1)
-        out[i] = z / np.linalg.norm(z)
+    normals = np.empty((count, 2 * (n_qubits + 1)))
+    rng = None
+    for i, row in enumerate(normals):
+        rng = stream(seed, start + i, rng)
+        rng.standard_normal(out=row)
+    out = normals.view(complex)
+    # re.re + im.im per row is np.linalg.norm's own sum, so the bytes match a
+    # row normalised on its own (einsum sums in another order)
+    re, im = out.real, out.imag
+    out /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
     return out
 
 
@@ -152,8 +169,10 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int = 512, threads: int = 1)
 
     def worker(start, count):
         rhos = np.empty((count, n1, n1), dtype=complex)
+        rng = None
         for i in range(count):
-            rhos[i] = sample_wishart_rdm(n1, n2, stream(spec.seed, start + i))
+            rng = stream(spec.seed, start + i, rng)
+            rhos[i] = sample_wishart_rdm(n1, n2, rng)
         return np.linalg.eigvalsh(rhos)
 
     return _map_index_chunks(spec.sample_count, chunk, threads, worker).ravel()

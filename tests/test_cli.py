@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from permsym.cli import list_experiments, main, run_experiment
 from permsym.errors import IntegrityError
@@ -56,7 +59,9 @@ class TestDeterminism:
         assert ((tmp_path / "t1" / "averages.csv").read_bytes()
                 == (tmp_path / "t2" / "averages.csv").read_bytes())
 
-    def test_manifest_hash_matches_file(self, tmp_path):
+    def test_manifest_hash_matches_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         out = tmp_path / "run"
         assert run(["lyapunov", "--k", 0, "--average", 200, "--trajectories", 4,
                     "--out", out]) == 0
@@ -66,6 +71,12 @@ class TestDeterminism:
         assert digest == entry["sha256"]
         assert manifest["version"]
         assert manifest["wall_time_s"] >= 0
+        env = manifest["env"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__,
+                       "blas": {"name": blas["name"], "version": blas["version"]},
+                       "threads": 1, "OMP_NUM_THREADS": "3"}
 
 
 class TestExitCodes:
@@ -106,11 +117,22 @@ class TestExitCodes:
         ["averages", "--config", "missing.json"],
         ["averages", "--config", "broken.json"],
         ["averages", "--config", "typed.json"],
+        ["averages", "--config", "bool_text.json"],
+        ["averages", "--config", "seed_text.json"],
+        ["averages", "--config", "threads_text.json"],
+        ["averages", "--config", "bool_for_int.json"],
+        ["averages", "--threads", 0],
+        ["averages", "--threads", -3],
     ])
     def test_malformed_input_exits_2(self, tmp_path, monkeypatch, args, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.json").write_text("{not json")
         (tmp_path / "typed.json").write_text(json.dumps({"n": "twelve"}))
+        # bool("false") is True: a bool parameter takes only a JSON boolean
+        (tmp_path / "bool_text.json").write_text(json.dumps({"n": 5, "sweep_q": "false"}))
+        (tmp_path / "seed_text.json").write_text(json.dumps({"seed": "x"}))
+        (tmp_path / "threads_text.json").write_text(json.dumps({"threads": "two"}))
+        (tmp_path / "bool_for_int.json").write_text(json.dumps({"n": True}))
         assert run(args + ["--out", tmp_path / "run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -200,6 +222,15 @@ class TestConfigPrecedence:
         assert manifest["config"]["q"] == 3        # flag wins
         assert manifest["config"]["samples"] == 50
         assert manifest["seed"] == 0               # default
+
+    def test_json_boolean_config_value(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 5, "sweep_q": False}))
+        out = tmp_path / "run"
+        assert run(["averages", "--config", config, "--out", out]) == 0
+        assert read_manifest(out)["config"]["sweep_q"] is False
+        rows = (out / "averages.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"2"}
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.json"

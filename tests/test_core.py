@@ -6,9 +6,9 @@ import pytest
 
 from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
                           coherent_state, dicke_norm, dicke_vector,
-                          embed_coeff, embed_coeff_table,
-                          embed_coeff_table_direct, embed_to_full, load_state,
-                          block_eigenvalues, reduced_density_matrix, save_state)
+                          embed_coeff, embed_coeff_table, embed_to_full,
+                          load_state, log_binomial, block_eigenvalues,
+                          reduced_density_matrix, save_state)
 from permsym.errors import CapacityError, DomainError
 
 
@@ -16,6 +16,15 @@ def random_ps_state(n, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     return PSState(z / np.linalg.norm(z))
+
+
+def embed_coeff_table_direct(n_qubits, q):
+    """Oracle for the recursion fill: every weight evaluated on its own in log space."""
+    m = np.arange(q + 1)[:, None]
+    n = np.arange(n_qubits - q + 1)[None, :]
+    lg = (log_binomial(q, m) + log_binomial(n_qubits - q, n)
+          - log_binomial(n_qubits, m + n))
+    return np.exp(0.5 * lg)
 
 
 def brute_force_reduced(state, q):

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from permsym.concentration import functional_samples
 
-from permsym.ensembles import (EnsembleSpec, avg_linear_entropy_ps,
+from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entropy_ps,
                                avg_linear_entropy_wishart, avg_purity_ps,
                                avg_tmi_linear_ps_111, avg_tmi_linear_ps_mmm,
                                avg_tmi_vn_ps, avg_tmi_vn_wishart,
@@ -68,6 +68,62 @@ class TestSampler:
         base = block_spectra_batch(amps, n, q).ravel()
         rot = block_spectra_batch(rotated, n, q).ravel()
         assert ks_2samp(base, rot).pvalue > 0.01
+
+
+def fresh_stream(seed, index):
+    """A new Philox generator per (seed, index): the construction re-keying replaces."""
+    return np.random.Generator(np.random.Philox(key=(index << 64) | (seed & (2 ** 64 - 1))))
+
+
+def oracle_amplitudes(n, seed, count, start=0):
+    out = np.empty((count, n + 1), dtype=complex)
+    for i in range(count):
+        z = _complex_normals(fresh_stream(seed, start + i), n + 1)
+        out[i] = z / np.linalg.norm(z)
+    return out
+
+
+class TestSamplerBytes:
+    """The re-keyed sampler draws exactly the bytes of one fresh stream per sample."""
+
+    @pytest.mark.parametrize("start", [0, 4097])
+    @pytest.mark.parametrize("seed", [0, -5, 2 ** 63 + 11])
+    @pytest.mark.parametrize("n", [1, 2, 12, 20, 40, 1023])
+    def test_batch_matches_fresh_streams(self, n, seed, start):
+        got = ps_amplitude_batch(n, seed, 9, start)
+        assert got.tobytes() == oracle_amplitudes(n, seed, 9, start).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 64), seed=st.integers(-2 ** 63, 2 ** 64 - 1),
+           count=st.integers(1, 8), start=st.integers(0, 2 ** 40))
+    def test_batch_matches_fresh_streams_property(self, n, seed, count, start):
+        got = ps_amplitude_batch(n, seed, count, start)
+        assert got.tobytes() == oracle_amplitudes(n, seed, count, start).tobytes()
+
+    @pytest.mark.parametrize("draws", [1, 3, 4, 5])
+    def test_rekey_clears_every_buffer(self, draws):
+        # odd uint32 counts leave a half-used 64-bit word (has_uint32), and
+        # random() leaves unused words of the Philox block (buffer_pos)
+        rng = stream(1, 0)
+        rng.integers(0, 2 ** 31, size=draws, dtype=np.uint32)
+        rng.random()
+        for index in (7, 2 ** 64 - 1):
+            rekeyed, fresh = stream(-5, index, rng), stream(-5, index)
+            assert rekeyed is rng
+            assert repr(rekeyed.bit_generator.state) == repr(fresh.bit_generator.state)
+            for draw in (lambda g: g.integers(0, 2 ** 31, size=3, dtype=np.uint32),
+                         lambda g: g.random(2), lambda g: g.standard_normal(5)):
+                assert draw(rekeyed).tobytes() == draw(fresh).tobytes()
+
+    @pytest.mark.parametrize("chunk,threads", [(7, 1), (7, 2), (512, 1)])
+    def test_wishart_eigenvalues_match_fresh_streams(self, chunk, threads):
+        n1, n2, count, seed = 3, 5, 20, 2 ** 63 + 11
+        rhos = np.stack([sample_wishart_rdm(n1, n2, fresh_stream(seed, i))
+                         for i in range(count)])
+        want = np.linalg.eigvalsh(rhos).ravel()
+        got = ensemble_eigenvalues(EnsembleSpec("wishart", (n1, n2), count, seed),
+                                   chunk=chunk, threads=threads)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWishart:
