@@ -76,9 +76,14 @@ def _parse_list(text, typ, what):
 
 
 def _convert(value, typ, what):
+    # bool("false") is True and int(True) is 1: a JSON boolean passes only as a
+    # bool, and int() would truncate a fraction
+    if (typ is bool) != isinstance(value, bool) or (
+            typ is int and isinstance(value, float) and not value.is_integer()):
+        raise DomainError(f"{what}={value!r} is not a {typ.__name__}")
     try:
         return typ(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what}={value!r} is not a {typ.__name__}") from None
 
 
@@ -367,12 +372,8 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
         raise DomainError(f"threads={threads} must be >= 1")
     resolved = {k: d for k, (t, d, h) in spec.items()}
     for key, value in params.items():
-        typ = spec[key][0]
-        # bool("false") is True: only a bool parameter takes a JSON boolean, and only one
-        if (typ is bool) != isinstance(value, bool):
-            raise DomainError(f"parameter {key}={value!r} is not a {typ.__name__}")
-        resolved[key] = value if value is None or isinstance(value, typ) else _convert(
-            value, typ, f"parameter {key}")
+        resolved[key] = value if value is None else _convert(
+            value, spec[key][0], f"parameter {key}")
 
     started = time.perf_counter()
     stem, header, rows = runner(resolved, seed, threads)

@@ -42,13 +42,12 @@ def stream(seed: int, index: int = 0,
 
     Philox keyed by the 128-bit pair (seed, index): distinct indices give
     independent streams, so sharding a sample range over workers cannot
-    change any drawn value.  Given a Philox-backed `rng`, its whole state
-    is reset to that key (counter 0, empty buffers) and `rng` is returned:
-    the same bits as a fresh stream without building a generator.
+    change any drawn value.  The whole Philox state of `rng` is reset to
+    that key (counter 0, empty buffers) and `rng` is returned, so a chunk
+    re-keys one generator per sample; with no `rng` one is built first.
     """
     if rng is None:
-        return np.random.Generator(np.random.Philox(key=(int(index) << 64)
-                                                    | (int(seed) & _MASK64)))
+        rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _MASK64, int(index))},

@@ -121,6 +121,10 @@ class TestExitCodes:
         ["averages", "--config", "seed_text.json"],
         ["averages", "--config", "threads_text.json"],
         ["averages", "--config", "bool_for_int.json"],
+        ["averages", "--config", "fraction_for_int.json"],
+        ["averages", "--config", "seed_bool.json"],
+        ["averages", "--config", "threads_bool.json"],
+        ["averages", "--config", "threads_fraction.json"],
         ["averages", "--threads", 0],
         ["averages", "--threads", -3],
     ])
@@ -133,6 +137,11 @@ class TestExitCodes:
         (tmp_path / "seed_text.json").write_text(json.dumps({"seed": "x"}))
         (tmp_path / "threads_text.json").write_text(json.dumps({"threads": "two"}))
         (tmp_path / "bool_for_int.json").write_text(json.dumps({"n": True}))
+        # int() would truncate these to n=12 and threads=1
+        (tmp_path / "fraction_for_int.json").write_text(json.dumps({"n": 12.7}))
+        (tmp_path / "seed_bool.json").write_text(json.dumps({"seed": True}))
+        (tmp_path / "threads_bool.json").write_text(json.dumps({"threads": True}))
+        (tmp_path / "threads_fraction.json").write_text(json.dumps({"threads": 1.9}))
         assert run(args + ["--out", tmp_path / "run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
