@@ -14,7 +14,6 @@ basis, of dimension Q + 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,8 +21,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import CapacityError, DomainError
-
-NORM_TOL = 1e-12
 
 # embed_to_full allocates 2^N complex entries; hard guard against blowup.
 FULL_EMBED_MAX_QUBITS = 24
@@ -40,37 +37,6 @@ def log_binomial(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def dicke_norm(n_qubits: int, m: int) -> float:
-    """Normalization sqrt(binom(N, m)) of the Dicke state |m_N>.
-
-    Uses the exact integer binomial and takes the square root in log
-    space, so intermediate values never overflow and the result is
-    accurate to ~1e-15 relative error whenever it is representable.
-    """
-    if not (0 <= m <= n_qubits):
-        raise DomainError(f"excitation count m={m} outside [0, {n_qubits}]")
-    # math.log handles integers beyond float range exactly enough
-    return math.exp(0.5 * math.log(math.comb(n_qubits, m)))
-
-
-def embed_coeff(n_qubits: int, q: int, m: int, n: int) -> float:
-    """Single combinatorial weight C[m, n] of the block embedding.
-
-    C[m, n] = sqrt(binom(Q, m) binom(N-Q, n) / binom(N, m+n)) <= 1.
-    Evaluated from exact integer binomials in log space.
-    """
-    if not (0 <= q <= n_qubits):
-        raise DomainError(f"block size q={q} outside [0, {n_qubits}]")
-    if not (0 <= m <= q):
-        raise DomainError(f"row index m={m} outside [0, {q}]")
-    if not (0 <= n <= n_qubits - q):
-        raise DomainError(f"column index n={n} outside [0, {n_qubits - q}]")
-    lg = (math.log(math.comb(q, m))
-          + math.log(math.comb(n_qubits - q, n))
-          - math.log(math.comb(n_qubits, m + n)))
-    return math.exp(0.5 * lg)
-
-
 def embed_coeff_table(n_qubits: int, q: int) -> np.ndarray:
     """Full (Q+1) x (N-Q+1) table of embedding weights via recursion.
 
@@ -80,10 +46,14 @@ def embed_coeff_table(n_qubits: int, q: int) -> np.ndarray:
     path of very large tables passes through weights below float range,
     which must not wipe out representable entries further along.
     Matches the direct log-space evaluation to better than 1e-9 relative
-    error for N up to several thousand.
+    error for N up to several thousand.  For Q > N - Q it is the contiguous
+    transpose of the short-side table, C_{N,Q}[m, n] = C_{N,N-Q}[n, m], so
+    both blocks of a split hold exactly the same weights.
     """
     if not (0 <= q <= n_qubits):
         raise DomainError(f"block size q={q} outside [0, {n_qubits}]")
+    if 2 * q > n_qubits:
+        return np.ascontiguousarray(embed_coeff_table(n_qubits, n_qubits - q).T)
     nq = n_qubits - q
     logtab = np.empty((q + 1, nq + 1))
     # row 0:  log C[0, l+1] = log C[0, l] + (log(N-Q-l) - log(N-l)) / 2

@@ -500,6 +500,31 @@ def phase_portrait(k: float, p: float, n_points: int, n_steps: int,
 # grid experiments
 # ---------------------------------------------------------------------------
 
+def _grid_orbits(n_theta: int, n_phi: int, p: float):
+    """(representatives, inverse) of the grid nodes whose TMI series are equal.
+
+    Node (i, j), at theta = i pi/n_theta and phi = 2 pi j/n_phi, has flat
+    index i n_phi + j.  Row 0 is one state.  The parity Pi = exp(-i pi Jy)
+    commutes with U and is a product of one-qubit rotations, so map A,
+    (theta, phi) -> (pi - theta, pi - phi), keeps every block entropy; on
+    the grid it needs an even n_phi.  B, phi -> phi + pi, is exp(-i pi Jz):
+    at p = pi/2 exactly it maps U to U Pi^-1, which keeps the entropies too.
+    representatives holds the smallest flat index of each orbit, ascending.
+    """
+    i, j = np.divmod(np.arange(n_theta * n_phi), n_phi)
+    maps = []
+    if n_phi % 2 == 0:
+        half = n_phi // 2
+        maps.append((n_theta - i, half - j))                     # A
+        if p == math.pi / 2:
+            maps += [(i, j + half), (n_theta - i, -j)]            # B, AB
+    smallest = i * n_phi + j
+    for row, col in maps:  # A and AB send row 0 past the grid; it is reset below
+        smallest = np.minimum(smallest, row * n_phi + col % n_phi)
+    smallest[i == 0] = 0
+    return np.unique(smallest, return_inverse=True)
+
+
 def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
                            n_steps: int = 1000, blocks=(1, 1, 1),
                            kind: EntropyKind = VON_NEUMANN,
@@ -508,6 +533,8 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
 
     The grid discretizes theta in [0, pi) and phi in [0, 2pi); each node
     is kicked n_steps times and I3 is averaged over steps 1..n_steps.
+    Only one node per symmetry orbit of _grid_orbits is evolved; the
+    other nodes of the orbit take its value.
     Returns (theta_axis, phi_axis, matrix of shape grid).
     """
     n_theta, n_phi = grid
@@ -520,11 +547,12 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
 
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    amps = coherent_amplitudes(n, tt.ravel(), pp.ravel())
+    representatives, inverse = _grid_orbits(n_theta, n_phi, params.p)
+    i, j = np.divmod(representatives, n_phi)
+    amps = coherent_amplitudes(n, thetas[i], phis[j])
 
     acc = np.zeros(amps.shape[0])
     for _ in range(n_steps):
         amps = amps @ u_t
         acc += tmi_batch(amps, n, blocks, kind)
-    return thetas, phis, (acc / n_steps).reshape(n_theta, n_phi)
+    return thetas, phis, (acc / n_steps)[inverse].reshape(n_theta, n_phi)

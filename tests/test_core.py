@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
-                          coherent_state, dicke_norm, dicke_vector,
-                          embed_coeff, embed_coeff_table, embed_to_full,
-                          load_state, log_binomial, block_eigenvalues,
-                          reduced_density_matrix, save_state)
+                          coherent_state, dicke_vector, embed_coeff_table,
+                          embed_to_full, load_state, log_binomial,
+                          block_eigenvalues, reduced_density_matrix, save_state)
 from permsym.errors import CapacityError, DomainError
+from permsym.measures import block_purity_batch
 
 
 def random_ps_state(n, seed):
@@ -25,6 +25,35 @@ def embed_coeff_table_direct(n_qubits, q):
     lg = (log_binomial(q, m) + log_binomial(n_qubits - q, n)
           - log_binomial(n_qubits, m + n))
     return np.exp(0.5 * lg)
+
+
+def embed_coeff_table_rows(n_qubits, q):
+    """Oracle for the short-side fill: the log recursion run one row per k < q, for any q."""
+    nq = n_qubits - q
+    logtab = np.empty((q + 1, nq + 1))
+    l = np.arange(nq, dtype=float)
+    logtab[0, 0] = 0.0
+    if nq:
+        np.cumsum(0.5 * (np.log(nq - l) - np.log(n_qubits - l)), out=logtab[0, 1:])
+    lv = np.arange(nq + 1, dtype=float)
+    for k in range(q):
+        step = 0.5 * (np.log(q - k) + np.log(k + lv + 1.0)
+                      - np.log(n_qubits - k - lv) - np.log(k + 1.0))
+        logtab[k + 1] = logtab[k] + step
+    return np.exp(logtab)
+
+
+def dicke_norm(n_qubits, m):
+    """Oracle: sqrt(binom(N, m)) from the exact integer binomial, rooted in log space."""
+    return math.exp(0.5 * math.log(math.comb(n_qubits, m)))
+
+
+def embed_coeff(n_qubits, q, m, n):
+    """Oracle: one weight C[m, n] = sqrt(binom(Q, m) binom(N-Q, n) / binom(N, m+n))."""
+    lg = (math.log(math.comb(q, m))
+          + math.log(math.comb(n_qubits - q, n))
+          - math.log(math.comb(n_qubits, m + n)))
+    return math.exp(0.5 * lg)
 
 
 def brute_force_reduced(state, q):
@@ -53,12 +82,6 @@ class TestDickeNorm:
             want = math.exp(0.5 * math.log(math.comb(n, m)))
             assert dicke_norm(n, m) == pytest.approx(want, rel=1e-12)
 
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            dicke_norm(5, 6)
-        with pytest.raises(DomainError):
-            dicke_norm(5, -1)
-
 
 class TestEmbedCoeff:
     def test_worked_example_entry(self):
@@ -71,14 +94,6 @@ class TestEmbedCoeff:
         # exact rational from big-integer factorials
         want = Fraction(math.comb(5, 3) * math.comb(7, 4), math.comb(12, 7))
         assert embed_coeff(12, 5, 3, 4) == pytest.approx(math.sqrt(float(want)), rel=1e-12)
-
-    def test_range_checks(self):
-        with pytest.raises(DomainError):
-            embed_coeff(4, 2, 3, 0)
-        with pytest.raises(DomainError):
-            embed_coeff(4, 2, 0, 3)
-        with pytest.raises(DomainError):
-            embed_coeff(4, 5, 0, 0)
 
 
 class TestEmbedCoeffTable:
@@ -111,6 +126,25 @@ class TestEmbedCoeffTable:
         live = direct > 1e-280
         assert np.max(np.abs(rec[live] / direct[live] - 1.0)) < 1e-9
         assert np.all(rec[~live] < 1e-270)
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (12, 7), (20, 11), (40, 30), (200, 150),
+                                     (1000, 900), (4000, 3990)])
+    def test_large_block_is_short_side_transpose(self, n, q):
+        table = embed_coeff_table(n, q)
+        assert table.flags.c_contiguous
+        np.testing.assert_array_equal(table, embed_coeff_table(n, n - q).T)
+        rows = embed_coeff_table_rows(n, q)
+        live = rows > 1e-280
+        assert np.max(np.abs(table[live] / rows[live] - 1.0)) < 1e-12
+
+    def test_complementary_blocks_give_bitwise_equal_purities(self):
+        n = 20
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((32, n + 1)) + 1j * rng.standard_normal((32, n + 1))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        for q in range(n + 1):
+            np.testing.assert_array_equal(block_purity_batch(a, n, q),
+                                          block_purity_batch(a, n, n - q))
 
 
 class TestCoefficientMatrix:

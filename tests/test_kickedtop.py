@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from permsym.core import coherent_state
+from permsym.core import coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
-from permsym.kickedtop import (KickedTopParams, _check_unitary, _real_trace,
-                               angular_momentum_matrices, bloch_vector,
+from permsym.kickedtop import (KickedTopParams, _check_unitary, _grid_orbits,
+                               _real_trace, angular_momentum_matrices, bloch_vector,
                                build_spin_system, classical_step,
                                classical_tangent_step, ehrenfest_time, evolve,
-                               lyapunov_exponent, otoc_growth_rate,
-                               otoc_series, parity_bases, phase_portrait,
-                               saturation_residuals, time_averaged_tmi_grid,
-                               timeseries_measures)
-from permsym.measures import LINEAR, VON_NEUMANN, block_entropy
+                               floquet_dicke, lyapunov_exponent,
+                               otoc_growth_rate, otoc_series, parity_bases,
+                               phase_portrait, saturation_residuals,
+                               time_averaged_tmi_grid, timeseries_measures)
+from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
 
 # integer and half-integer spins up to 20, kick strengths and rotation angles
 SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
@@ -29,6 +29,22 @@ def coherent_point(theta, phi):
     return np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi),
                      math.cos(theta)])
+
+
+def unreduced_tmi_grid(params, grid, n_steps, blocks, kind):
+    """Reference time-averaged TMI grid: every node evolved on its own."""
+    n_theta, n_phi = grid
+    n = params.n_qubits
+    u_t = floquet_dicke(build_spin_system(params)).T.copy()
+    thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    amps = coherent_amplitudes(n, tt.ravel(), pp.ravel())
+    acc = np.zeros(amps.shape[0])
+    for _ in range(n_steps):
+        amps = amps @ u_t
+        acc += tmi_batch(amps, n, blocks, kind)
+    return (acc / n_steps).reshape(n_theta, n_phi)
 
 
 def dense_otoc(params, n_max):
@@ -376,6 +392,42 @@ class TestGrid:
         assert grid.shape == (4, 6)
         assert thetas[0] == 0.0 and thetas[-1] < math.pi
         assert phis[0] == 0.0 and phis[-1] < 2 * math.pi
+
+    @pytest.mark.parametrize("p,orbits", [(math.pi / 2, 1227), (1.1, 2452),
+                                          (np.nextafter(math.pi / 2, 4), 2452)])
+    def test_orbit_counts(self, p, orbits):
+        # map B and AB only at p == pi/2 exactly; the next float gets map A alone
+        representatives, inverse = _grid_orbits(50, 100, p)
+        assert representatives.size == orbits
+        assert inverse.shape == (5000,)
+        assert np.array_equal(representatives[inverse[representatives]], representatives)
+        assert np.all(representatives[inverse] <= np.arange(5000))
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_odd_phi_collapses_only_theta_zero(self, p):
+        representatives, inverse = _grid_orbits(7, 9, p)
+        assert representatives.size == 6 * 9 + 1
+        assert np.all(inverse[:9] == 0)
+        assert np.array_equal(representatives[1:], np.arange(9, 63))
+
+    def test_single_theta_row(self):
+        assert _grid_orbits(1, 8, math.pi / 2)[0].tolist() == [0]
+        params = KickedTopParams(3, 6.0)
+        _, _, grid = time_averaged_tmi_grid(params, (1, 8), n_steps=5)
+        np.testing.assert_allclose(
+            grid, unreduced_tmi_grid(params, (1, 8), 5, (1, 1, 1), VON_NEUMANN),
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("blocks,kind", [((1, 1, 1), VON_NEUMANN), ((2, 1, 3), LINEAR)],
+                             ids=["vn-111", "linear-213"])
+    @pytest.mark.parametrize("k", [1.0, 6.0])
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    @pytest.mark.parametrize("shape", [(6, 8), (5, 7), (7, 10)])
+    def test_matches_unreduced_loop(self, shape, p, k, blocks, kind):
+        params = KickedTopParams(6, k, p)
+        _, _, grid = time_averaged_tmi_grid(params, shape, 20, blocks, kind)
+        want = unreduced_tmi_grid(params, shape, 20, blocks, kind)
+        np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
 
 
 class TestPhasePortrait:
