@@ -127,6 +127,8 @@ def _exp_ensemble_spectrum(p, seed, threads):
 
 def _exp_averages(p, seed, threads):
     n = p["n"]
+    if p["sweep_q"] and n < 2:
+        raise DomainError(f"--sweep-q needs N >= 2 qubits, got N={n}")
     qs = list(range(1, n)) if p["sweep_q"] else [p["q"]]
     results = (mc_purity_sweep(n, p["samples"], seed, qs, threads=threads)
                if p["samples"] != 0 else {})

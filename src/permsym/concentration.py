@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _map_index_chunks, ps_amplitude_batch
+from .ensembles import _check_ps_block, _map_index_chunks, ps_amplitude_batch
 from .errors import DomainError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, block_spectra_batch,
                        entropy_from_eigenvalues, tmi_batch, tmi_blocks)
@@ -77,6 +77,7 @@ def _functional_sampler(n_qubits: int, functional):
     tag = functional[0]
     if tag in ("vn", "linear"):
         q = functional[1]
+        _check_ps_block(n_qubits, q)
         kind = VON_NEUMANN if tag == "vn" else LINEAR
         eta = lipschitz_bound_vn(q) if tag == "vn" else lipschitz_bound_linear()
         return (lambda amps: entropy_from_eigenvalues(

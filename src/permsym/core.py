@@ -144,6 +144,24 @@ def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
     return a @ np.conj(np.swapaxes(a, -1, -2))
 
 
+def trace_out_qubit(rho: np.ndarray) -> np.ndarray:
+    """Trace one qubit out of s-qubit block matrices (batch friendly).
+
+    rho holds (s+1) x (s+1) Dicke-basis matrices on its last two axes; the
+    result is the s x s matrix of the (s-1)-qubit block, exact in this basis
+    (Stockton, Geremia, Doherty & Mabuchi, PRA 67, 022112 (2003)):
+    rho_{s-1}[k, k'] = (sqrt((s-k)(s-k')) rho_s[k, k'] + sqrt((k+1)(k'+1)) rho_s[k+1, k'+1]) / s.
+    """
+    s = rho.shape[-1] - 1
+    if s < 1:
+        raise DomainError("cannot trace a qubit out of a 0-qubit block")
+    k = np.arange(s)
+    lo, hi = np.sqrt((s - k) / s), np.sqrt((k + 1) / s)
+    out = rho[..., :-1, :-1] * np.outer(lo, lo)
+    out += rho[..., 1:, 1:] * np.outer(hi, hi)
+    return out
+
+
 def reduced_density_matrix(state: PSState, q: int) -> np.ndarray:
     """Reduced density matrix of a q-qubit block (0 <= q <= N), Dicke basis.
 

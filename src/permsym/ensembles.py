@@ -387,10 +387,8 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
     qs = list(qs) if qs is not None else list(range(1, n))
     for q in qs:
         _check_ps_block(n, q)
-    values = _mc_samples(
-        n, samples, seed,
-        lambda amps: np.stack([block_purity_batch(amps, n, q) for q in qs], axis=-1),
-        chunk, threads)
+    values = _mc_samples(n, samples, seed, lambda amps: block_purity_batch(amps, n, qs),
+                         chunk, threads)
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 

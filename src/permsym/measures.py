@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, block_eigenvalues, smaller_gram
+from .core import PSState, block_eigenvalues, smaller_gram, trace_out_qubit
 from .errors import DomainError, IntegrityError
 
 EIG_CLIP = 1e-12  # eigenvalues below this are treated as exact zeros
@@ -98,9 +98,31 @@ def block_spectra_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     return np.linalg.eigvalsh(smaller_gram(amplitudes, n_qubits, q))
 
 
-def block_purity_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
-    """tr(rho_q^2) of q-qubit blocks for a batch of states (Frobenius, no eig)."""
-    return np.sum(np.abs(smaller_gram(amplitudes, n_qubits, q)) ** 2, axis=(-1, -2))
+def block_purity_batch(amplitudes: np.ndarray, n_qubits: int, qs) -> np.ndarray:
+    """tr(rho_q^2) of the q-qubit blocks of a batch of states, for every q in qs.
+
+    The purities go on a new last axis, in the order of qs.  Each q folds to
+    s = min(q, N-q), which has the same purity; one Gram is formed at the
+    largest s and every smaller s follows by exact one-qubit partial traces
+    (core.trace_out_qubit), each Gram dropped once the next is formed.  A
+    purity outside [1/(s+1), 1] by more than PSD_TOL raises IntegrityError.
+    """
+    folded = np.array([min(q, n_qubits - q) for q in qs], dtype=int)
+    if folded.size == 0 or folded.min() < 0:
+        raise DomainError(f"block sizes {qs} must be a non-empty list in [0, {n_qubits}]")
+    s = int(folded.max())
+    rho = smaller_gram(amplitudes, n_qubits, s)
+    out = np.empty(rho.shape[:-2] + folded.shape)
+    while True:
+        if s in folded:
+            out[..., folded == s] = np.sum(np.abs(rho) ** 2, axis=(-1, -2))[..., None]
+        if s == folded.min():
+            break
+        rho, s = trace_out_qubit(rho), s - 1
+    worst = np.max(np.maximum(1.0 / (folded + 1) - out, out - 1.0))
+    if not worst <= PSD_TOL:
+        raise IntegrityError(f"block purity leaves [1/(s+1), 1] by {worst!r} > {PSD_TOL}")
+    return out
 
 
 def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,

@@ -114,6 +114,11 @@ class TestExitCodes:
         ["tmi-random", "--samples", 0],
         ["vn-scaling", "--n-min", 4, "--n-max", 4, "--samples", 0],
         ["averages", "--samples", -5],
+        ["averages", "--n", 1, "--sweep-q", "--samples", 10],
+        ["averages", "--n", 1, "--sweep-q"],
+        ["concentration", "--n", 3, "--functional", "linear:0"],
+        ["concentration", "--n", 3, "--functional", "linear:3"],
+        ["concentration", "--n", 3, "--functional", "vn:3"],
         ["averages", "--config", "missing.json"],
         ["averages", "--config", "broken.json"],
         ["averages", "--config", "typed.json"],

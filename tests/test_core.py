@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
                           coherent_state, dicke_vector, embed_coeff_table,
                           embed_to_full, load_state, log_binomial,
-                          block_eigenvalues, reduced_density_matrix, save_state)
+                          block_eigenvalues, reduced_density_matrix, save_state,
+                          trace_out_qubit)
+from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
 
@@ -143,8 +147,8 @@ class TestEmbedCoeffTable:
         a = rng.standard_normal((32, n + 1)) + 1j * rng.standard_normal((32, n + 1))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         for q in range(n + 1):
-            np.testing.assert_array_equal(block_purity_batch(a, n, q),
-                                          block_purity_batch(a, n, n - q))
+            np.testing.assert_array_equal(block_purity_batch(a, n, (q,))[..., 0],
+                                          block_purity_batch(a, n, (n - q,))[..., 0])
 
 
 class TestCoefficientMatrix:
@@ -239,6 +243,35 @@ class TestReducedDensityMatrix:
         full = reduced_density_matrix(state, 5)
         np.testing.assert_allclose(
             full, np.outer(state.amplitudes, state.amplitudes.conj()), atol=1e-14)
+
+
+class TestTraceOutQubit:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n), st.integers(0, 2 ** 32 - 1))))
+    def test_one_qubit_trace_gives_the_smaller_block(self, case):
+        n, q, seed = case
+        state = random_ps_state(n, seed)
+        np.testing.assert_allclose(trace_out_qubit(reduced_density_matrix(state, q)),
+                                   reduced_density_matrix(state, q - 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_space_spectrum(self, n):
+        state = random_ps_state(n, seed=10 + n)
+        psi = embed_to_full(state)
+        for q in range(1, n + 1):
+            lam = np.linalg.eigvalsh(trace_out_qubit(reduced_density_matrix(state, q)))[::-1]
+            full = np.linalg.eigvalsh(reduced_density_full(psi, range(q - 1), n))[::-1]
+            np.testing.assert_allclose(lam, full[:q], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(full[q:], 0.0, rtol=0, atol=1e-12)
+
+    def test_batch_axes_and_empty_block(self):
+        states = [random_ps_state(6, seed) for seed in range(3)]
+        rhos = np.stack([reduced_density_matrix(s, 4) for s in states])
+        np.testing.assert_array_equal(trace_out_qubit(rhos),
+                                      np.stack([trace_out_qubit(r) for r in rhos]))
+        with pytest.raises(DomainError):
+            trace_out_qubit(np.ones((1, 1)))
 
 
 class TestEmbedToFull:

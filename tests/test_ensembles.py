@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entrop
                                sample_wishart_rdm, spectral_histogram, stream,
                                tmi_full_state)
 from permsym.errors import DomainError
-from permsym.measures import LINEAR, VON_NEUMANN, block_spectra_batch
+from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch, tmi_blocks,
+                              tmi_sum)
 
 
 class TestSampler:
@@ -277,6 +279,17 @@ class TestTmiEstimates:
             want = (3 * avg_linear_entropy_ps(n, 1) - 3 * avg_linear_entropy_ps(n, 2)
                     + avg_linear_entropy_ps(n, 3))
             assert avg_tmi_linear_ps_111(n) == pytest.approx(want, rel=1e-12)
+
+    def test_linear_111_exact_rational_oracle(self):
+        # E[I3_lin] is tmi_sum of the exact block averages, with S = 0 at q in {0, N}
+        def avg_s(n, q):
+            return Fraction(0) if q in (0, n) else avg_linear_entropy_ps(Fraction(n), q)
+
+        for n in range(3, 40):
+            exact = tmi_sum([avg_s(n, q) for q in tmi_blocks(1, 1, 1)])
+            assert isinstance(exact, Fraction)
+            assert exact == Fraction((n - 3) * (n * n - n + 4), 4 * n * (n - 1) * (n - 2))
+            assert avg_tmi_linear_ps_111(n) == pytest.approx(float(exact), rel=1e-15, abs=0)
 
     def test_sign_claims(self):
         for q in range(1, 30):

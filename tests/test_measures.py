@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permsym.core import PSState, coherent_state, embed_to_full
+from permsym.core import PSState, coherent_state, embed_to_full, smaller_gram
 from permsym.errors import DomainError, IntegrityError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_purity_batch,
                               block_spectra_batch, entropy,
@@ -39,6 +39,12 @@ def states_and_blocks(draw):
     q2 = draw(st.integers(1, n - q1 - 1))
     q3 = draw(st.integers(1, n - q1 - q2))
     return n, draw(st.integers(0, 2 ** 32 - 1)), (q1, q2, q3)
+
+
+def per_size_purities(amplitudes, n_qubits, qs):
+    """Oracle for the purity sweep: one gather and Gram per block size."""
+    return np.stack([np.sum(np.abs(smaller_gram(amplitudes, n_qubits, q)) ** 2, axis=(-1, -2))
+                     for q in qs], axis=-1)
 
 
 def random_ps_state(n, seed):
@@ -218,5 +224,32 @@ class TestKernelProperties:
         n, seed, q = case
         amps = random_amplitudes(n, seed)
         lam = block_spectra_batch(amps, n, q)
-        np.testing.assert_allclose(block_purity_batch(amps, n, q),
+        np.testing.assert_allclose(block_purity_batch(amps, n, (q,))[..., 0],
                                    np.sum(lam ** 2, axis=-1), rtol=0, atol=1e-12)
+
+
+class TestPuritySweep:
+    @pytest.mark.parametrize("n", [2, 3, 12, 20, 21, 40, 101])
+    def test_matches_per_size_oracle(self, n):
+        amps = random_amplitudes(n, seed=n, count=8)
+        shuffled = list(np.random.default_rng(n).permutation(n + 1))
+        for qs in (shuffled, shuffled[::-1] + shuffled[: n // 2 + 1]):
+            got = block_purity_batch(amps, n, qs)
+            want = per_size_purities(amps, n, qs)
+            assert got.shape == (8, len(qs))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            top = [i for i, q in enumerate(qs) if min(q, n - q) == n // 2]
+            np.testing.assert_array_equal(got[:, top], want[:, top])
+            np.testing.assert_allclose(block_purity_batch(amps[0], n, qs), got[0],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5, math.nan])
+    def test_unnormalised_amplitudes_fail_health_check(self, scale):
+        amps = scale * random_amplitudes(12, seed=2)
+        with pytest.raises(IntegrityError):
+            block_purity_batch(amps, 12, (1, 5))
+
+    @pytest.mark.parametrize("qs", [(), (-1,), (13,), (2, 14)])
+    def test_block_sizes_outside_the_system(self, qs):
+        with pytest.raises(DomainError):
+            block_purity_batch(random_amplitudes(12, seed=3), 12, qs)
