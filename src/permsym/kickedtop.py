@@ -97,7 +97,9 @@ def angular_momentum_matrices(j: float):
 
 
 def _check_unitary(u: np.ndarray) -> None:
-    defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    gram = u.conj().T @ u
+    gram[np.diag_indices_from(gram)] -= 1.0  # in place: one d x d temporary fewer
+    defect = np.abs(gram).max()
     if not defect <= 1e-10:  # a NaN defect fails too
         raise IntegrityError(f"Floquet unitarity defect {defect:.2e} > 1e-10")
 
@@ -264,56 +266,48 @@ def parity_bases(dim: int):
     return tuple(bases)
 
 
-def _tridiagonal_times(lower: np.ndarray, upper: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T @ v for T[i+1, i] = lower[i], T[i, i+1] = upper[i] and a zero diagonal."""
-    out = np.zeros_like(v)
-    out[1:] = lower[:, None] * v[:-1]
-    out[:-1] += upper[:, None] * v[1:]
-    return out
+def _real_rotation(r: np.ndarray) -> np.ndarray:
+    """r as float64, for a rotation that must be real up to round-off.
 
-
-def _adjoint_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v^dag @ m for a parity basis v, whose column c lives on rows c and dim-1-c."""
-    c = np.arange(v.shape[1])
-    mirror = v.shape[0] - 1 - c
-    out = v[c, c].conj()[:, None] * m[c]
-    pair = mirror != c
-    out[pair] += v[mirror[pair], c[pair]].conj()[:, None] * m[mirror[pair]]
-    return out
-
-
-def _sector_floquet(v: np.ndarray, ladder: np.ndarray, kick: np.ndarray,
-                    p: float) -> np.ndarray:
-    """Block of U on the parity sector spanned by v, from a sector-size eigh of Jy.
-
-    The sector block of Jy is tridiagonal, with a real diagonal and a
-    subdiagonal that is -i times a real vector, so D^dag Jy D is real
-    symmetric for D = diag((-i)^c) and a real eigh suffices.  The kick is
-    diagonal and equal on m and -m, so on column c of v it is kick[c].
+    For integer j, exp(-i p Jy) is real orthogonal (Jy is imaginary
+    antisymmetric) and the parity bases are real, so the imaginary part of a
+    sector rotation is round-off; anything larger (or a NaN) means the
+    decomposition went wrong.
     """
-    n = v.shape[1]
-    jy = _adjoint_times(v, _tridiagonal_times(-0.5j * ladder, 0.5j * ladder, v))
+    defect = np.abs(r.imag).max()
+    if not defect <= 1e-10:
+        raise IntegrityError(f"sector rotation imaginary part {defect:.2e} > 1e-10")
+    return np.ascontiguousarray(r.real)
+
+
+def _sector_rotation(jy: np.ndarray, p: float, real: bool) -> np.ndarray:
+    """exp(-i p jy) for the block jy of Jy on one parity sector, from a sector-size eigh.
+
+    The block is tridiagonal, with a real diagonal and a subdiagonal that is
+    -i times a real vector, so D^dag jy D is real symmetric for
+    D = diag((-i)^c) and a real eigh suffices.  With real (integer j) the
+    rotation is returned as float64, else as complex.
+    """
+    n = jy.shape[0]
     phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
+    # numpy.linalg, not scipy.linalg: scipy's wheel ships its own OpenBLAS,
+    # whose thread pool then contends with numpy's in the kick products
+    # (with scipy's eigh_tridiagonal here a j=300, 20-kick series took
+    # 292 ms against 216 ms, medians of 6 runs each on 2 cores)
     w, vecs = np.linalg.eigh((phase.conj()[:, None] * jy * phase).real)
     vecs = phase[:, None] * vecs
-    u = kick[:n, None] * ((vecs * np.exp(-1j * p * w)) @ vecs.conj().T)
-    _check_unitary(u)
-    return u
+    r = (vecs * np.exp(-1j * p * w)) @ vecs.conj().T
+    if real:
+        r = _real_rotation(r)
+    _check_unitary(r)
+    return r
 
 
-def _band(x: np.ndarray) -> list:
-    """(offset o, entries x[r, r + o]) for each nonzero diagonal o = -1, 0, 1 of x."""
-    diagonals = [(o, np.diagonal(x, o).copy()) for o in (-1, 0, 1)]
-    return [(o, entries) for o, entries in diagonals if entries.any()]
-
-
-def _band_times(band: list, m: np.ndarray, n_rows: int) -> np.ndarray:
-    """B @ m for the tridiagonal B given by _band, in O(size of the result)."""
-    out = np.zeros((n_rows, m.shape[1]), dtype=complex)
-    for o, entries in band:
-        r = max(0, -o)
-        out[r:r + entries.size] += entries[:, None] * m[r + o:r + o + entries.size]
-    return out
+def _rotate(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """r @ z for a C-contiguous complex z; a float64 r is one real GEMM on z's float64 view."""
+    if r.dtype == np.float64:
+        return (r @ z.view(np.float64)).view(np.complex128)
+    return r @ z
 
 
 def otoc_series(params: KickedTopParams, n_max: int,
@@ -322,14 +316,24 @@ def otoc_series(params: KickedTopParams, n_max: int,
 
     C2(n) = Tr(Jx(n)^2 Jx^2)/j^4 and C4(n) = Tr(Jx(n) Jx Jx(n) Jx)/j^4 with
     Jx(n) = U^-n Jx U^n.  U is block diagonal in the parity sectors of
-    parity_bases, U = diag(U_e, U_o), and Jx is off-diagonal, so Jx(n) is
-    fixed by its block X_n = U_e^dag X_{n-1} U_o: two products of
-    half-size blocks per kick.  With P_e = X_n X^dag and P_o = X_n^dag X,
-    C2 = |P_e|_F^2 + |P_o|_F^2 and C4 = Tr(P_e^2) + Tr(P_o^2).  X is
-    tridiagonal, so P_e^T = conj(X) X_n^T and P_o^dag = X^dag X_n cost
-    O(d^2), and the norms and traces are read off these.  No d x d matrix
-    is built.
+    parity_bases, U = diag(K_e R_e, K_o R_o) with K the diagonal kick (equal
+    on m and -m, so kick[c] on column c of either basis), and Jx is
+    off-diagonal, so Jx(n) is fixed by its block
+    X_n = R_e^dag (conj(K_e) X_{n-1} K_o) R_o: two phase multiplies and two
+    products of half-size blocks per kick.  For integer j the rotations are
+    real, so each product is one real GEMM and a kick costs d^3 flops.
+    Each phase multiply also transposes, so that both products take a
+    contiguous operand from the left; a kick ends with X_n^T.
+    With P_e = X_n X^dag and P_o = X_n^dag X, C2 = |P_e|_F^2 + |P_o|_F^2 and
+    C4 = Tr(P_e^2) + Tr(P_o^2).  X is tridiagonal, so P_e^T = conj(X) X_n^T
+    and P_o^dag = (X^dag K_e)(conj(K_e) X_n) are sparse products with
+    contiguous operands in O(d^2), and the norms and traces are read off
+    these.  No d x d matrix is built.
     """
+    # imported here, not with the module: scipy.sparse would add about 30 ms
+    # (5%) to `import permsym.cli`, and so to every experiment's start-up
+    from scipy.sparse import csr_array
+
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     dim = params.dim
@@ -337,19 +341,26 @@ def otoc_series(params: KickedTopParams, n_max: int,
         raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {dim_cap}")
     j = float(params.j)
     ladder = _ladder_coefficients(j)
+    raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
     m = -j + np.arange(dim)
     kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
-    v_e, v_o = parity_bases(dim)
-    u_e_dag = _sector_floquet(v_e, ladder, kick, params.p).conj().T
-    u_o = _sector_floquet(v_o, ladder, kick, params.p)
-    x = _adjoint_times(v_e, _tridiagonal_times(0.5 * ladder, 0.5 * ladder, v_o))
-    band_conj, band_dag = _band(x.conj()), _band(x.conj().T)
+    v_e, v_o = (csr_array(v) for v in parity_bases(dim))
+
+    def block(left, op, right):
+        return (left.conj().T @ op @ right).toarray()
+
+    jy = (raising - raising.T) * -0.5j
+    real = dim % 2 == 1  # integer j: real parity bases
+    r_e_dag = _sector_rotation(block(v_e, jy, v_e), params.p, real).conj().T.copy()
+    r_o_t = _sector_rotation(block(v_o, jy, v_o), params.p, real).T.copy()
+    x = block(v_e, (raising + raising.T) * 0.5, v_o)
+    kick_e, kick_o = kick[:x.shape[0], None], kick[:x.shape[1], None]
+    x_conj = csr_array(x.conj())
+    x_dag_kick = csr_array(x.conj().T * kick_e.T)
     bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
     scale = j ** 4
 
-    def traces(xn):
-        p_e_t = _band_times(band_conj, xn.T, x.shape[0])
-        p_o_dag = _band_times(band_dag, xn, x.shape[1])
+    def traces(p_e_t, p_o_dag):
         c2 = np.vdot(p_e_t, p_e_t) + np.vdot(p_o_dag, p_o_dag)
         c4 = (np.einsum("ij,ji->", p_e_t, p_e_t)
               + np.einsum("ij,ji->", p_o_dag, p_o_dag).conjugate())
@@ -357,19 +368,24 @@ def otoc_series(params: KickedTopParams, n_max: int,
 
     c2 = np.empty(n_max + 1)
     c4 = np.empty(n_max + 1)
-    c2[0] = c4[0] = traces(x)[0]  # Tr(Jx^4) both; F(0) = 0 exactly
-    xn = x
-    for n in range(1, n_max + 1):
-        xn = u_e_dag @ xn @ u_o
-        c2[n], c4[n] = traces(xn)
+    xt = x.T.copy()
+    for n in range(n_max + 1):
+        z = np.multiply(kick_e.conj(), xt.T, order="C")  # conj(K_e) X_n
+        c2[n], c4[n] = traces(x_conj @ xt, x_dag_kick @ z)
+        if n < n_max:
+            xt = _rotate(r_o_t, np.multiply(kick_o, _rotate(r_e_dag, z).T, order="C"))
+    c4[0] = c2[0]  # Tr(Jx^4) both; F(0) = 0 exactly
     f = 2.0 * (c2 - c4)
     return OtocSeries(np.arange(n_max + 1), f, c2, c4)
 
 
 def otoc_growth_rate(series: OtocSeries, n_lo: int = 1, n_hi: int | None = None) -> float:
-    """OLS slope of ln F(n) over the window [n_lo, n_hi]."""
+    """OLS slope of ln F(n) over the window [n_lo, n_hi]; at least two steps."""
+    last = len(series.f) - 1
     if n_hi is None:
-        n_hi = len(series.f) - 1
+        n_hi = last
+    if not 0 <= n_lo < n_hi <= last:
+        raise DomainError(f"fit window [{n_lo}, {n_hi}] must satisfy 0 <= n_lo < n_hi <= {last}")
     window = slice(n_lo, n_hi + 1)
     steps = series.steps[window]
     values = series.f[window]

@@ -8,8 +8,10 @@ from scipy.linalg import expm
 
 from permsym.core import coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
+import permsym.kickedtop as kickedtop
 from permsym.kickedtop import (KickedTopParams, _check_unitary, _grid_orbits,
-                               _real_trace, angular_momentum_matrices, bloch_vector,
+                               _real_rotation, _real_trace, _sector_rotation,
+                               angular_momentum_matrices, bloch_vector,
                                build_spin_system, classical_step,
                                classical_tangent_step, ehrenfest_time, evolve,
                                floquet_dicke, lyapunov_exponent,
@@ -63,6 +65,35 @@ def dense_otoc(params, n_max):
         p = b @ a
         c4.append(np.einsum("ij,ji->", p, p).real / scale)
     return np.array(c2), np.array(c4)
+
+
+def complex_sector_otoc(params, n_max):
+    """Reference C2(n), C4(n) by the two-complex-product sector loop: the
+    sector blocks u_s = v_s^dag U v_s of the dense Floquet matrix, the
+    even->odd block X of Jx, X_n = u_e^dag X_{n-1} u_o, and dense half-size
+    trace products P_e = X_n X^dag, P_o = X_n^dag X."""
+    system = build_spin_system(params)
+    v_e, v_o = parity_bases(system.dim)
+    u_e_dag = (v_e.conj().T @ system.floquet @ v_e).conj().T
+    u_o = v_o.conj().T @ system.floquet @ v_o
+    x = v_e.conj().T @ system.jx @ v_o
+    scale = params.j ** 4
+    c2, c4 = [], []
+    xn = x
+    for n in range(n_max + 1):
+        if n:
+            xn = u_e_dag @ xn @ u_o
+        p_e, p_o = xn @ x.conj().T, xn.conj().T @ x
+        c2.append((np.vdot(p_e, p_e) + np.vdot(p_o, p_o)).real / scale)
+        c4.append((np.einsum("ij,ji->", p_e, p_e)
+                   + np.einsum("ij,ji->", p_o, p_o)).real / scale)
+    return np.array(c2), np.array(c4)
+
+
+def sector_jy_blocks(two_j):
+    """The blocks of Jy on the two parity sectors, built densely."""
+    _, jy, _ = angular_momentum_matrices(two_j / 2)
+    return [v.conj().T @ jy @ v for v in parity_bases(two_j + 1)]
 
 
 def parity_operator(dim):
@@ -297,6 +328,12 @@ class TestOtoc:
         rate = otoc_growth_rate(s, 1, 4)
         assert rate > 1.0
 
+    @pytest.mark.parametrize("window", [(3, 3), (5, 20), (4, 2), (-1, 3), (0, 7)])
+    def test_growth_window_must_hold_two_steps_of_the_series(self, window):
+        s = otoc_series(KickedTopParams(10, 6.0), 6)
+        with pytest.raises(DomainError):
+            otoc_growth_rate(s, *window)
+
     def test_growth_requires_positive_f(self):
         s = otoc_series(KickedTopParams(5, 0.0), 6)
         with pytest.raises(DomainError):
@@ -329,6 +366,48 @@ class TestOtoc:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             otoc_series(KickedTopParams(5000.0, 1.0), 1)
+
+    @pytest.mark.parametrize("j, p", [(300.0, math.pi / 2), (299.5, math.pi / 2)] + [
+        (j, p) for j in (0.5, 1.0, 1.5, 2.0, 5.0, 10.5) for p in (math.pi / 2, 1.1)])
+    def test_matches_complex_sector_oracle(self, j, p, monkeypatch):
+        rotate, rotated = kickedtop._rotate, []
+
+        def spy(r, z):
+            rotated.append(r.dtype)
+            return rotate(r, z)
+        monkeypatch.setattr(kickedtop, "_rotate", spy)
+        params = KickedTopParams(j, 6.0, p)
+        series = otoc_series(params, 20)
+        c2, c4 = complex_sector_otoc(params, 20)
+        scale = np.abs(c2).max()
+        assert np.abs(series.c2 - c2).max() <= 1e-10 * scale
+        assert np.abs(series.c4 - c4).max() <= 1e-10 * scale
+        # integer j takes real products, half-integer j complex ones
+        want = np.float64 if params.dim % 2 else np.complex128
+        assert rotated and set(rotated) == {np.dtype(want)}
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_sector_rotation_real_and_orthogonal_for_integer_j(self, p):
+        for two_j in range(1, 41):
+            for jy in sector_jy_blocks(two_j):
+                r = _sector_rotation(jy, p, real=two_j % 2 == 0)
+                eye = np.eye(r.shape[0])
+                if two_j % 2:
+                    assert r.dtype == np.complex128
+                    assert np.abs(r.conj().T @ r - eye).max() <= 1e-10
+                else:
+                    assert r.dtype == np.float64 and r.flags.c_contiguous
+                    assert np.abs(r.T @ r - eye).max() <= 1e-10
+
+    def test_real_rotation_rejects_non_round_off_imaginary_part(self):
+        r = np.eye(3) + 1e-14j
+        assert _real_rotation(r).dtype == np.float64
+        for bad in (np.eye(3) + 1e-8j, np.full((3, 3), complex(0.0, math.nan))):
+            with pytest.raises(IntegrityError):
+                _real_rotation(bad)
+        # a half-integer rotation is complex: taken as real, it must fail
+        with pytest.raises(IntegrityError):
+            _sector_rotation(sector_jy_blocks(3)[0], 1.1, real=True)
 
 
 class TestParity:
