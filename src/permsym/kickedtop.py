@@ -179,8 +179,7 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
     """
     q1, q2, q3 = blocks
     n = params.n_qubits
-    if q1 + q2 + q3 > n:
-        raise DomainError(f"blocks {blocks} exceed the {n}-qubit system")
+    _check_blocks(n, blocks)
     system = build_spin_system(params, dim_cap=dim_cap)
     u = floquet_dicke(system)
     traj = np.empty((n_steps + 1, n + 1), dtype=complex)

@@ -98,27 +98,61 @@ def block_spectra_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     return np.linalg.eigvalsh(smaller_gram(amplitudes, n_qubits, q))
 
 
+def _folded_sizes(n_qubits: int, qs) -> np.ndarray:
+    """s = min(q, N-q) of every block size; raises DomainError outside [0, N]."""
+    folded = np.array([min(q, n_qubits - q) for q in qs], dtype=int)
+    if folded.size == 0 or folded.min() < 0:
+        raise DomainError(f"block sizes {qs} must be a non-empty list in [0, {n_qubits}]")
+    return folded
+
+
+def _walk_down(amplitudes: np.ndarray, n_qubits: int, folded: np.ndarray):
+    """Yield (s, rho_s) for every distinct s in folded, largest first.
+
+    One smaller_gram is formed at the largest s; every smaller s follows by
+    exact one-qubit partial traces (core.trace_out_qubit), each matrix
+    dropped once the next is formed.
+    """
+    s = int(folded.max())
+    rho = smaller_gram(amplitudes, n_qubits, s)
+    while True:
+        if s in folded:
+            yield s, rho
+        if s == folded.min():
+            return
+        rho, s = trace_out_qubit(rho), s - 1
+
+
+def _qubit_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a batch of 2 x 2 Hermitian matrices, in closed form.
+
+    lambda = (t -+ sqrt(2 ||rho||_F^2 - t^2)) / 2 with t = tr rho, not 1:
+    evolved states drift in norm.  The discriminant is
+    (lambda+ - lambda-)^2; below -PSD_TOL or non-finite it raises
+    IntegrityError, and round-off below 0 counts as a double eigenvalue.
+    """
+    t = rho[..., 0, 0].real + rho[..., 1, 1].real
+    disc = 2.0 * np.sum(np.abs(rho) ** 2, axis=(-1, -2)) - t * t
+    bad = ~(np.isfinite(disc) & (disc >= -PSD_TOL))
+    if bad.any():
+        raise IntegrityError(
+            f"2x2 block discriminant {disc[bad].flat[0]!r} below -{PSD_TOL} or not finite")
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return np.stack([t - root, t + root], axis=-1) / 2.0
+
+
 def block_purity_batch(amplitudes: np.ndarray, n_qubits: int, qs) -> np.ndarray:
     """tr(rho_q^2) of the q-qubit blocks of a batch of states, for every q in qs.
 
     The purities go on a new last axis, in the order of qs.  Each q folds to
-    s = min(q, N-q), which has the same purity; one Gram is formed at the
-    largest s and every smaller s follows by exact one-qubit partial traces
-    (core.trace_out_qubit), each Gram dropped once the next is formed.  A
-    purity outside [1/(s+1), 1] by more than PSD_TOL raises IntegrityError.
+    s = min(q, N-q), which has the same purity, and every s comes from one
+    walk down from the largest (_walk_down).  A purity outside
+    [1/(s+1), 1] by more than PSD_TOL raises IntegrityError.
     """
-    folded = np.array([min(q, n_qubits - q) for q in qs], dtype=int)
-    if folded.size == 0 or folded.min() < 0:
-        raise DomainError(f"block sizes {qs} must be a non-empty list in [0, {n_qubits}]")
-    s = int(folded.max())
-    rho = smaller_gram(amplitudes, n_qubits, s)
-    out = np.empty(rho.shape[:-2] + folded.shape)
-    while True:
-        if s in folded:
-            out[..., folded == s] = np.sum(np.abs(rho) ** 2, axis=(-1, -2))[..., None]
-        if s == folded.min():
-            break
-        rho, s = trace_out_qubit(rho), s - 1
+    folded = _folded_sizes(n_qubits, qs)
+    purity = {s: np.sum(np.abs(rho) ** 2, axis=(-1, -2))
+              for s, rho in _walk_down(amplitudes, n_qubits, folded)}
+    out = np.stack([purity[s] for s in folded.tolist()], axis=-1)
     worst = np.max(np.maximum(1.0 / (folded + 1) - out, out - 1.0))
     if not worst <= PSD_TOL:
         raise IntegrityError(f"block purity leaves [1/(s+1), 1] by {worst!r} > {PSD_TOL}")
@@ -127,9 +161,28 @@ def block_purity_batch(amplitudes: np.ndarray, n_qubits: int, qs) -> np.ndarray:
 
 def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,
                           kind: EntropyKind) -> dict:
-    """Entropies of several block sizes for a batch of states at once."""
-    return {q: entropy_from_eigenvalues(block_spectra_batch(amplitudes, n_qubits, q), kind)
-            for q in set(sizes)}
+    """Entropies of several block sizes for a batch of states at once.
+
+    Returns {q: entropies} for every distinct q in sizes.  Von Neumann and
+    Renyi spectra come from one _walk_down: closed form at s = 1
+    (_qubit_spectrum), eigvalsh at s >= 2, and exactly 0 at q in {0, N}.
+    """
+    qs = set(sizes)
+    folded = _folded_sizes(n_qubits, qs)
+    if kind.tag == "linear":
+        # Linear entropies keep one gather, Gram and eigvalsh per size:
+        # perfbench/test_perfbench.py::test_traced_op_counts_and_self_times pins
+        # a linear (1,1,1) op to 3 gathers and 3*64 eigensolves, and only a
+        # change to the benchmark may edit perfbench/.  ROADMAP item 2 retires
+        # this branch.
+        return {q: entropy_from_eigenvalues(block_spectra_batch(amplitudes, n_qubits, q), kind)
+                for q in qs}
+    entropies = {}
+    for s, rho in _walk_down(amplitudes, n_qubits, folded):
+        lam = (np.ones(rho.shape[:-1]) if s == 0 else
+               _qubit_spectrum(rho) if s == 1 else np.linalg.eigvalsh(rho))
+        entropies[s] = entropy_from_eigenvalues(lam, kind)
+    return {q: entropies[s] for q, s in zip(qs, folded.tolist())}
 
 
 def _check_blocks(n_qubits: int, sizes) -> None:

@@ -132,6 +132,7 @@ class TestExitCodes:
         ["averages", "--config", "threads_fraction.json"],
         ["averages", "--threads", 0],
         ["averages", "--threads", -3],
+        ["timeseries", "--blocks", "0,1,1"],
     ])
     def test_malformed_input_exits_2(self, tmp_path, monkeypatch, args, capsys):
         monkeypatch.chdir(tmp_path)

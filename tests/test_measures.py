@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from permsym.core import PSState, coherent_state, embed_to_full, smaller_gram
 from permsym.errors import DomainError, IntegrityError
-from permsym.measures import (LINEAR, VON_NEUMANN, block_purity_batch,
-                              block_spectra_batch, entropy,
+from permsym.measures import (LINEAR, VON_NEUMANN, _qubit_spectrum, block_entropies_batch,
+                              block_purity_batch, block_spectra_batch, entropy,
                               entropy_from_eigenvalues, mutual_information,
-                              renyi, tmi, tmi_batch)
+                              renyi, tmi, tmi_batch, tmi_blocks)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from([VON_NEUMANN, LINEAR, renyi(2.0)])
@@ -45,6 +45,20 @@ def per_size_purities(amplitudes, n_qubits, qs):
     """Oracle for the purity sweep: one gather and Gram per block size."""
     return np.stack([np.sum(np.abs(smaller_gram(amplitudes, n_qubits, q)) ** 2, axis=(-1, -2))
                      for q in qs], axis=-1)
+
+
+def per_size_entropies(amplitudes, n_qubits, qs, kind):
+    """Oracle for the entropy walk: one gather, Gram and eigvalsh per block size."""
+    return {q: entropy_from_eigenvalues(block_spectra_batch(amplitudes, n_qubits, q), kind)
+            for q in set(qs)}
+
+
+def entropy_size_sets(n):
+    """Every size, the ends 0 and N, sizes past N/2 and a sparse TMI set."""
+    sets = [range(n + 1), (0, n), [q for q in range(n + 1) if 2 * q > n]]
+    if n >= 3:
+        sets.append(tmi_blocks(1, 1, max(1, n // 5)))  # (1, 1, 8) at N = 40
+    return sets
 
 
 def random_ps_state(n, seed):
@@ -249,7 +263,60 @@ class TestPuritySweep:
         with pytest.raises(IntegrityError):
             block_purity_batch(amps, 12, (1, 5))
 
-    @pytest.mark.parametrize("qs", [(), (-1,), (13,), (2, 14)])
+    @pytest.mark.parametrize("qs", [(), (-1,), (13,), (2, 14), (1, 2, -1), (0, 13, 12)])
     def test_block_sizes_outside_the_system(self, qs):
+        amps = random_amplitudes(12, seed=3)
         with pytest.raises(DomainError):
-            block_purity_batch(random_amplitudes(12, seed=3), 12, qs)
+            block_purity_batch(amps, 12, qs)
+        for kind in (VON_NEUMANN, LINEAR, renyi(0.5), renyi(2.0)):
+            with pytest.raises(DomainError, match=r"\[0, 12\]"):
+                block_entropies_batch(amps, 12, qs, kind)
+
+
+class TestEntropyWalk:
+    @pytest.mark.parametrize("scale", [1.0 - 1e-10, 1.0, 1.0 + 1e-10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40, 101])
+    def test_matches_per_size_oracle(self, n, scale):
+        amps = scale * random_amplitudes(n, seed=n, count=8)
+        for qs in entropy_size_sets(n):
+            for kind in (VON_NEUMANN, renyi(0.5), renyi(2.0)):
+                got = block_entropies_batch(amps, n, qs, kind)
+                want = per_size_entropies(amps, n, qs, kind)
+                assert got.keys() == want.keys()
+                for q in want:
+                    assert got[q].shape == (8,)
+                    np.testing.assert_allclose(got[q], want[q], rtol=0, atol=1e-12)
+                    if q in (0, n):
+                        assert got[q].tobytes() == want[q].tobytes()
+                single = block_entropies_batch(amps[0], n, qs, kind)
+                for q in want:
+                    np.testing.assert_allclose(single[q], want[q][0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40, 101])
+    def test_linear_keeps_the_per_size_kernel_bytes(self, n):
+        amps = random_amplitudes(n, seed=n, count=8)
+        for qs in entropy_size_sets(n):
+            got = block_entropies_batch(amps, n, qs, LINEAR)
+            want = per_size_entropies(amps, n, qs, LINEAR)
+            assert got.keys() == want.keys()
+            assert all(got[q].tobytes() == want[q].tobytes() for q in want)
+
+    def test_closed_form_qubit_spectrum(self):
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal((64, 2, 3)) + 1j * rng.standard_normal((64, 2, 3))
+        rho = z @ np.conj(np.swapaxes(z, -1, -2))  # PSD, trace away from 1
+        rho = np.concatenate([rho, np.eye(2)[None] / 2, np.diag([1.0, 0.0])[None] + 0j])
+        np.testing.assert_allclose(_qubit_spectrum(rho), np.linalg.eigvalsh(rho),
+                                   rtol=0, atol=1e-12 * np.abs(rho).max())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_corrupted_batch_fails_the_qubit_health_check(self, bad):
+        amps = random_amplitudes(12, seed=5, count=4)
+        amps[2, 3] = bad
+        for kind in (VON_NEUMANN, renyi(2.0)):
+            with pytest.raises(IntegrityError, match="discriminant"), np.errstate(invalid="ignore"):
+                block_entropies_batch(amps, 12, (1, 11), kind)
+        rho = np.stack([np.eye(2) / 2] * 3).astype(complex)
+        rho[1, 0, 1] = bad
+        with pytest.raises(IntegrityError, match="discriminant"):
+            _qubit_spectrum(rho)
