@@ -9,7 +9,8 @@ formatting, so identical runs produce byte-identical data files regardless
 of how the work is sharded.
 
 Exit codes: 0 success, 2 invalid input (DomainError), 3 capacity cap exceeded
-(CapacityError), 4 failed numerical health check (IntegrityError).
+(CapacityError), 4 failed numerical health check (IntegrityError, or an
+eigensolver that did not converge, numpy.linalg.LinAlgError).
 """
 
 from __future__ import annotations
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except IntegrityError as exc:
+    except (IntegrityError, np.linalg.LinAlgError) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 4
     for path in paths:

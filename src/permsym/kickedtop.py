@@ -309,6 +309,38 @@ def _rotate(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return r @ z
 
 
+def _block_map(dim: int, p: float):
+    """(parts, shift_e, shift_o): how the kick splits each parity sector.
+
+    For integer j at p = pi/2 exactly, Z = exp(-i pi Jz) = diag((-1)^m) is
+    real, commutes with Pi and is (-1)^(c-j) on column c of either basis.
+    Z U Z^dag = U Pi^dag (Haake, Kus & Scharf 1987), so Z R Z = lam R on the
+    sector with Pi = lam: with part 0 the columns of even c-j (Z = +1) and
+    part 1 the rest, the rotation keeps its weight on the blocks
+    R[a, a ^ shift], with shift 0 for lam = 1 and 1 for lam = -1.
+    Otherwise each sector is one part with shift 0.
+    """
+    half = dim // 2
+    if dim % 2 == 0 or p != math.pi / 2:
+        return (slice(None),), 0, 0
+    return (slice(half % 2, None, 2), slice(1 - half % 2, None, 2)), half % 2, 1 - half % 2
+
+
+def _sector_blocks(r: np.ndarray, parts, shift: int) -> list:
+    """The blocks r[a, a ^ shift] of a sector rotation, one per part a.
+
+    Every other block is dropped and must be round-off: one above 1e-10 (or
+    a NaN) means the symmetry behind the block map does not hold.
+    """
+    for a, rows in enumerate(parts):
+        for b, cols in enumerate(parts):
+            if b != a ^ shift:
+                defect = np.abs(r[rows, cols]).max(initial=0.0)
+                if not defect <= 1e-10:  # a NaN fails too
+                    raise IntegrityError(f"dropped sector rotation block {defect:.2e} > 1e-10")
+    return [r[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+
+
 def otoc_series(params: KickedTopParams, n_max: int,
                 dim_cap: int = DIM_CAP) -> OtocSeries:
     """Two-point correlator, four-point OTOC and commutator growth of Jx.
@@ -328,6 +360,12 @@ def otoc_series(params: KickedTopParams, n_max: int,
     and P_o^dag = (X^dag K_e)(conj(K_e) X_n) are sparse products with
     contiguous operands in O(d^2), and the norms and traces are read off
     these.  No d x d matrix is built.
+
+    All of it runs block by block over the parts of _block_map.  For
+    integer j at p = pi/2 Jx is Z-odd and the rotations keep or swap the Z
+    parts, so X_n is held as its two nonzero quarter blocks X_n[a, a ^ t],
+    t flipping every kick, and a kick is four real quarter-size GEMMs:
+    d^3/4 flops.  Otherwise there is one part and one block.
     """
     # imported here, not with the module: scipy.sparse would add about 30 ms
     # (5%) to `import permsym.cli`, and so to every experiment's start-up
@@ -350,29 +388,46 @@ def otoc_series(params: KickedTopParams, n_max: int,
 
     jy = (raising - raising.T) * -0.5j
     real = dim % 2 == 1  # integer j: real parity bases
-    r_e_dag = _sector_rotation(block(v_e, jy, v_e), params.p, real).conj().T.copy()
-    r_o_t = _sector_rotation(block(v_o, jy, v_o), params.p, real).T.copy()
+    parts, shift_e, shift_o = _block_map(dim, params.p)
+    r_e = _sector_rotation(block(v_e, jy, v_e), params.p, real)
+    r_o = _sector_rotation(block(v_o, jy, v_o), params.p, real)
+    r_e_dag = [r.conj().T.copy() for r in _sector_blocks(r_e, parts, shift_e)]
+    r_o_t = [r.T.copy() for r in _sector_blocks(r_o, parts, shift_o)]
     x = block(v_e, (raising + raising.T) * 0.5, v_o)
-    kick_e, kick_o = kick[:x.shape[0], None], kick[:x.shape[1], None]
-    x_conj = csr_array(x.conj())
-    x_dag_kick = csr_array(x.conj().T * kick_e.T)
+    x_shift = len(parts) - 1  # Jx is Z-odd: split, X lives on X[a, a ^ 1]
+    kick_e = [kick[:x.shape[0], None][part] for part in parts]
+    kick_o = [kick[:x.shape[1], None][part] for part in parts]
+    # lists are indexed by the even sector's part a; kick_o and x_conj by the odd one's
+    x_blocks = [x[part, parts[a ^ x_shift]] for a, part in enumerate(parts)]
+    x_conj = [csr_array(x[parts[c ^ x_shift], part].conj()) for c, part in enumerate(parts)]
+    x_dag_kick = [csr_array(b.conj().T * k_e.T) for b, k_e in zip(x_blocks, kick_e)]
     bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
     scale = j ** 4
 
-    def traces(p_e_t, p_o_dag):
-        c2 = np.vdot(p_e_t, p_e_t) + np.vdot(p_o_dag, p_o_dag)
-        c4 = (np.einsum("ij,ji->", p_e_t, p_e_t)
-              + np.einsum("ij,ji->", p_o_dag, p_o_dag).conjugate())
+    def total(terms):
+        return sum(terms[1:], terms[0])  # not from int 0, which drops the sign of a zero
+
+    def traces(p_e_t, p_o_dag, pair):
+        # block a of P_e^T, or of P_o^dag, meets block a ^ pair in Tr(P^2)
+        c2 = total([np.vdot(b, b) for b in p_e_t]) + total([np.vdot(b, b) for b in p_o_dag])
+        c4 = (total([np.einsum("ij,ji->", b, p_e_t[a ^ pair]) for a, b in enumerate(p_e_t)])
+              + total([np.einsum("ij,ji->", b, p_o_dag[a ^ pair])
+                       for a, b in enumerate(p_o_dag)]).conjugate())
         return _real_trace(c2, bound) / scale, _real_trace(c4, bound) / scale
 
     c2 = np.empty(n_max + 1)
     c4 = np.empty(n_max + 1)
-    xt = x.T.copy()
+    xt, t = [b.T.copy() for b in x_blocks], x_shift  # xt[a] = X_n[a, a ^ t]^T
     for n in range(n_max + 1):
-        z = np.multiply(kick_e.conj(), xt.T, order="C")  # conj(K_e) X_n
-        c2[n], c4[n] = traces(x_conj @ xt, x_dag_kick @ z)
+        z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]  # conj(K_e) X_n
+        c2[n], c4[n] = traces([x_conj[a ^ t] @ b for a, b in enumerate(xt)],
+                              [xd @ b for xd, b in zip(x_dag_kick, z)], t ^ x_shift)
         if n < n_max:
-            xt = _rotate(r_o_t, np.multiply(kick_o, _rotate(r_e_dag, z).T, order="C"))
+            kicked = [None] * len(parts)
+            for a, b in enumerate(z):
+                kicked[a ^ shift_e] = _rotate(r_o_t[a ^ t], np.multiply(
+                    kick_o[a ^ t], _rotate(r_e_dag[a], b).T, order="C"))
+            xt, t = kicked, t ^ shift_e ^ shift_o
     c4[0] = c2[0]  # Tr(Jx^4) both; F(0) = 0 exactly
     f = 2.0 * (c2 - c4)
     return OtocSeries(np.arange(n_max + 1), f, c2, c4)

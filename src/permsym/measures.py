@@ -48,7 +48,7 @@ def entropy_from_eigenvalues(lam: np.ndarray, kind: EntropyKind):
     products.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.size and float(lam.min()) < -PSD_TOL:
+    if lam.size and not float(lam.min()) >= -PSD_TOL:  # a NaN fails too
         raise IntegrityError(f"eigenvalue {lam.min()} below -{PSD_TOL}: not a state")
     lam = np.clip(lam, 0.0, 1.0)
     lam = np.where(lam < EIG_CLIP, 0.0, lam)

@@ -164,6 +164,24 @@ class TestExitCodes:
         assert err.startswith("integrity error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_eigensolver_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a NaN amplitude leaves eigvalsh unconverged at block size 3
+        import permsym.kickedtop as kickedtop
+        coherent = kickedtop.coherent_amplitudes
+
+        def corrupt(n, theta, phi):
+            amps = coherent(n, theta, phi)
+            amps[1] = np.nan
+            return amps
+        monkeypatch.setattr(kickedtop, "coherent_amplitudes", corrupt)
+        with np.errstate(invalid="ignore"):
+            code = run(["timeseries", "--j", 3, "--steps", 2, "--kinds", "vn",
+                        "--out", tmp_path])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputs:
     def test_averages_zero_samples_empty_mc_columns(self, tmp_path):

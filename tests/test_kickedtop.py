@@ -9,8 +9,9 @@ from scipy.linalg import expm
 from permsym.core import coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
 import permsym.kickedtop as kickedtop
-from permsym.kickedtop import (KickedTopParams, _check_unitary, _grid_orbits,
-                               _real_rotation, _real_trace, _sector_rotation,
+from permsym.kickedtop import (KickedTopParams, _block_map, _check_unitary,
+                               _grid_orbits, _real_rotation, _real_trace,
+                               _sector_blocks, _sector_rotation,
                                angular_momentum_matrices, bloch_vector,
                                build_spin_system, classical_step,
                                classical_tangent_step, ehrenfest_time, evolve,
@@ -368,12 +369,13 @@ class TestOtoc:
             otoc_series(KickedTopParams(5000.0, 1.0), 1)
 
     @pytest.mark.parametrize("j, p", [(300.0, math.pi / 2), (299.5, math.pi / 2)] + [
-        (j, p) for j in (0.5, 1.0, 1.5, 2.0, 5.0, 10.5) for p in (math.pi / 2, 1.1)])
+        (j, p) for j in (0.5, 1.0, 1.5, 2.0, 5.0, 10.5) for p in (math.pi / 2, 1.1)] + [
+        (j, math.pi / 2) for j in (3.0, 10.0, 11.0, 301.0)])
     def test_matches_complex_sector_oracle(self, j, p, monkeypatch):
         rotate, rotated = kickedtop._rotate, []
 
         def spy(r, z):
-            rotated.append(r.dtype)
+            rotated.append((r.dtype, r.shape, z.shape))
             return rotate(r, z)
         monkeypatch.setattr(kickedtop, "_rotate", spy)
         params = KickedTopParams(j, 6.0, p)
@@ -384,7 +386,75 @@ class TestOtoc:
         assert np.abs(series.c4 - c4).max() <= 1e-10 * scale
         # integer j takes real products, half-integer j complex ones
         want = np.float64 if params.dim % 2 else np.complex128
-        assert rotated and set(rotated) == {np.dtype(want)}
+        assert rotated and {dtype for dtype, _, _ in rotated} == {np.dtype(want)}
+        # integer j at pi/2 exactly: four quarter-size products per kick,
+        # with the two parts of a sector of sizes ceil(d_s/2) and floor(d_s/2);
+        # otherwise two products of the half-size sector blocks
+        sectors = (params.dim + 1) // 2, params.dim // 2
+        if params.dim % 2 and p == math.pi / 2:
+            sizes = {(d_s + 1) // 2 for d_s in sectors} | {d_s // 2 for d_s in sectors}
+            assert len(rotated) == 4 * 20
+            assert {n for _, r_shape, _ in rotated for n in r_shape} <= sizes
+        else:
+            assert len(rotated) == 2 * 20
+            assert {r_shape for _, r_shape, _ in rotated} == {(d_s, d_s) for d_s in sectors}
+        assert all(r_shape[1] == z_shape[0] for _, r_shape, z_shape in rotated)
+
+    def test_z_split_holds_only_at_half_pi(self):
+        # Z = diag((-1)^m) is +1 on part 0 and -1 on part 1 of either sector;
+        # the rotation of the Pi = +1 sector keeps the split, that of the
+        # Pi = -1 sector swaps it, and Jx's block is Z-odd.  At p = 1.1 the
+        # same blocks carry weight, so the split needs p = pi/2 exactly.
+        assert _block_map(11, 1.1) == ((slice(None),), 0, 0)
+        assert _block_map(11, np.nextafter(math.pi / 2, 4)) == ((slice(None),), 0, 0)
+        assert _block_map(12, math.pi / 2) == ((slice(None),), 0, 0)
+        for two_j in range(2, 41, 2):
+            dim = two_j + 1
+            parts, shift_e, shift_o = _block_map(dim, math.pi / 2)
+            bases = parity_bases(dim)
+            z = (-1.0) ** (np.arange(dim) - two_j // 2)
+            lam = [np.vdot(v[:, 0], parity_operator(dim) @ v[:, 0]).real for v in bases]
+            assert [shift_e, shift_o] == [int(eig < 0) for eig in lam]
+            for v in bases:
+                for a, part in enumerate(parts):
+                    np.testing.assert_array_equal(z[:, None] * v[:, part], (-1) ** a * v[:, part])
+            jx, _, _ = angular_momentum_matrices(two_j / 2)
+            x = bases[0].conj().T @ jx @ bases[1]
+            for part in parts:
+                assert np.all(x[part, part] == 0.0)
+            dropped = {}
+            for p in (math.pi / 2, 1.1):
+                dropped[p] = max(
+                    np.abs(r[rows, cols]).max(initial=0.0)
+                    for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o))
+                    for r in [_sector_rotation(jy, p, real=True)]
+                    for a, rows in enumerate(parts)
+                    for b, cols in enumerate(parts) if b != a ^ shift)
+            assert dropped[math.pi / 2] <= 1e-10
+            assert dropped[1.1] > 0.1
+
+    @pytest.mark.parametrize("bad", [1e-8, math.nan])
+    @pytest.mark.parametrize("two_j", [10, 12])
+    def test_dropped_rotation_block_must_be_round_off(self, two_j, bad, monkeypatch):
+        parts, shift_e, _ = _block_map(two_j + 1, math.pi / 2)
+        r = _sector_rotation(sector_jy_blocks(two_j)[0], math.pi / 2, real=True)
+        kept = _sector_blocks(r, parts, shift_e)
+        for a, rows in enumerate(parts):
+            np.testing.assert_array_equal(kept[a], r[rows, parts[a ^ shift_e]])
+        corrupt = r.copy()
+        corrupt[parts[0], parts[1 - shift_e]][0, 0] += bad  # a dropped block, in place
+        with pytest.raises(IntegrityError):
+            _sector_blocks(corrupt, parts, shift_e)
+        # and otoc_series runs the check on both sector rotations
+        rotation = kickedtop._sector_rotation
+
+        def corrupted(jy, p, real):
+            out = rotation(jy, p, real).copy()
+            out[0, :2] += bad  # one of the two entries is in a dropped block
+            return out
+        monkeypatch.setattr(kickedtop, "_sector_rotation", corrupted)
+        with pytest.raises(IntegrityError):
+            otoc_series(KickedTopParams(two_j / 2, 6.0), 3)
 
     @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
     def test_sector_rotation_real_and_orthogonal_for_integer_j(self, p):

@@ -320,3 +320,23 @@ class TestEntropyWalk:
         rho[1, 0, 1] = bad
         with pytest.raises(IntegrityError, match="discriminant"):
             _qubit_spectrum(rho)
+
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, LINEAR, renyi(0.5), renyi(2.0)],
+                             ids=["vn", "linear", "renyi0.5", "renyi2"])
+    def test_nan_eigenvalue_fails_the_psd_check(self, kind):
+        with pytest.raises(IntegrityError, match="not a state"):
+            entropy_from_eigenvalues(np.array([math.nan, 0.5]), kind)
+        with pytest.raises(IntegrityError, match="not a state"):
+            entropy_from_eigenvalues(np.array([[0.5, 0.5], [0.25, math.nan]]), kind)
+
+    @pytest.mark.parametrize("kind,qs", [(LINEAR, (1,)), (LINEAR, (1, 2, 3)),
+                                         (VON_NEUMANN, (2,)), (VON_NEUMANN, (1, 2, 3))],
+                             ids=["linear-1", "linear-123", "vn-2", "vn-123"])
+    def test_nan_amplitude_fails_the_linear_and_walk_paths(self, kind, qs):
+        # eigvalsh either returns the NaN, which the PSD check now rejects, or
+        # does not converge; the CLI maps both to exit 4
+        amps = random_amplitudes(12, seed=5, count=4)
+        amps[2, 3] = math.nan
+        with pytest.raises((IntegrityError, np.linalg.LinAlgError)), \
+                np.errstate(invalid="ignore"):
+            block_entropies_batch(amps, 12, qs, kind)
