@@ -204,11 +204,6 @@ def embed_to_full(state: PSState) -> np.ndarray:
     return state.amplitudes[weights] * norms[weights]
 
 
-def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
-    """The Dicke state |m_N> as a full 2^N real vector."""
-    return embed_to_full(PSState(np.eye(n_qubits + 1)[m])).real
-
-
 def coherent_amplitudes(n_qubits: int, theta, phi) -> np.ndarray:
     """Dicke amplitudes of spin coherent states (vectorized over theta/phi).
 

@@ -392,31 +392,8 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 
-def mc_purity(n, q, samples, seed, **kw) -> MCResult:
-    return mc_purity_sweep(n, samples, seed, [q], **kw)[q]
-
-
 def mc_block_entropy(n, q, kind, samples, seed, **kw) -> MCResult:
     return _summarize(mc_block_entropy_samples(n, q, kind, samples, seed, **kw))
-
-
-def mc_tmi(n, sizes, kind, samples, seed, **kw) -> MCResult:
-    return _summarize(mc_tmi_samples(n, sizes, kind, samples, seed, **kw))
-
-
-def fit_vn_alpha(pairs, samples: int, seed: int) -> float:
-    """Least-squares fit of the constant in the PS average-entropy form.
-
-    pairs is an iterable of (N, Q); the deviation log2(Q+1) - <S_vN> is
-    regressed through the origin against (Q+1)/(N-Q+1).
-    """
-    xs, ys = [], []
-    for i, (n, q) in enumerate(pairs):
-        res = mc_block_entropy(n, q, VON_NEUMANN, samples, seed + i)
-        xs.append((q + 1) / (n - q + 1))
-        ys.append(math.log2(q + 1) - res.mean)
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return float(xs @ ys / (xs @ xs))
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +432,3 @@ def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
                        lambda batch: [tmi_full_state(batch[0], n_qubits, sizes, kind)],
                        chunk=1, threads=1)
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = _complex_normals(rng, dim * dim).reshape(dim, dim)
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -99,9 +99,9 @@ def angular_momentum_matrices(j: float):
 def _check_unitary(u: np.ndarray) -> None:
     gram = u.conj().T @ u
     gram[np.diag_indices_from(gram)] -= 1.0  # in place: one d x d temporary fewer
-    defect = np.abs(gram).max()
+    defect = np.abs(gram).max(initial=0.0)
     if not defect <= 1e-10:  # a NaN defect fails too
-        raise IntegrityError(f"Floquet unitarity defect {defect:.2e} > 1e-10")
+        raise IntegrityError(f"unitarity defect {defect:.2e} > 1e-10")
 
 
 def build_spin_system(params: KickedTopParams, dim_cap: int = DIM_CAP) -> SpinSystem:
@@ -231,13 +231,19 @@ class OtocSeries:
 def _real_trace(value: complex, bound: float) -> float:
     """Real part of a trace whose imaginary part must be round-off.
 
-    bound is an a-priori bound on |trace| fixed for the whole series; the
-    real part itself can be round-off (C4 vanishes at some steps), so it is
-    no scale for the imaginary part.  NaN and infinity fail the check.
+    bound is an a-priori bound on |trace| fixed for the whole series, not
+    the trace's own real part, which can be round-off.  NaN and infinity
+    fail the check.
     """
     if not (math.isfinite(value.real) and abs(value.imag) <= 1e-8 * bound):
         raise IntegrityError(f"trace {value!r} has a non-negligible imaginary part")
     return value.real
+
+
+def _check_trace_pair(t_o: complex, t_e: complex, bound: float) -> None:
+    """Tr((P_o^dag)^2) = Tr(P_e^2) by cyclicity, so C4 = 2 Re Tr(P_e^2); to 1e-8 bound."""
+    if not abs(t_o - t_e) <= 1e-8 * bound:  # a NaN fails too
+        raise IntegrityError(f"Tr((P_o^dag)^2) = {t_o!r} is not Tr(P_e^2) = {t_e!r}")
 
 
 def parity_bases(dim: int):
@@ -249,19 +255,22 @@ def parity_bases(dim: int):
     hence with U, while Jx is odd.  Pi^2 = (-1)^(dim-1), so the eigenvalue
     lam of v_e is +-1 for integer j and i for half-integer j; v_o has -lam.
     Column c < dim // 2 of either basis is (|c> + lam (-1)^c |dim-1-c>)/sqrt 2;
-    for odd dim the m = 0 vector is the last column of v_e.
+    for odd dim the m = 0 vector is the last column of v_e.  Both are
+    complex scipy.sparse CSR arrays, built from their nonzeros.
     """
+    from scipy.sparse import csr_array  # in-function, as in otoc_series
+
     half = dim // 2
     c = np.arange(half)
     lam = (-1.0) ** half if dim % 2 else 1j
     bases = []
     for eig, middle in ((lam, dim % 2), (-lam, 0)):
-        v = np.zeros((dim, half + middle), dtype=complex)
-        v[c, c] = math.sqrt(0.5)
-        v[dim - 1 - c, c] = eig * (-1.0) ** c * math.sqrt(0.5)
-        if middle:
-            v[half, half] = 1.0
-        bases.append(v)
+        mid = np.full(middle, half)
+        rows = np.concatenate([c, dim - 1 - c, mid])
+        cols = np.concatenate([c, c, mid])
+        values = np.concatenate([np.full(half, math.sqrt(0.5)),
+                                 eig * (-1.0) ** c * math.sqrt(0.5), np.ones(middle)])
+        bases.append(csr_array((values.astype(complex), (rows, cols)), shape=(dim, half + middle)))
     return tuple(bases)
 
 
@@ -326,19 +335,37 @@ def _block_map(dim: int, p: float):
     return (slice(half % 2, None, 2), slice(1 - half % 2, None, 2)), half % 2, 1 - half % 2
 
 
-def _sector_blocks(r: np.ndarray, parts, shift: int) -> list:
-    """The blocks r[a, a ^ shift] of a sector rotation, one per part a.
+def _half_pi_rotation(sub: np.ndarray, parts, shift: int, j: float) -> list:
+    """The kept blocks r[a, a ^ shift] of r = exp(-i (pi/2) jy) on one sector, integer j.
 
-    Every other block is dropped and must be round-off: one above 1e-10 (or
-    a NaN) means the symmetry behind the block map does not hold.
+    jy has subdiagonal sub = -i e (e real) and a zero diagonal, so with D of
+    _sector_rotation M = D^dag jy D = [[0, B], [B^T, 0]] over the parts.
+    From B = U S V^T (S zero-padded; Golub & Kahan 1965) the kept blocks are
+    U cos(pS) U^T and V cos(pS) V^T (shift 0) or +-U sin(pS) V^T and minus
+    its transpose (shift 1), with D's phases.  S must be integers (the
+    sector's |Jy| eigenvalues) to 1e-10 j and each kept block orthogonal to
+    1e-10, which holds iff the dropped blocks vanish; else IntegrityError.
     """
-    for a, rows in enumerate(parts):
-        for b, cols in enumerate(parts):
-            if b != a ^ shift:
-                defect = np.abs(r[rows, cols]).max(initial=0.0)
-                if not defect <= 1e-10:  # a NaN fails too
-                    raise IntegrityError(f"dropped sector rotation block {defect:.2e} > 1e-10")
-    return [r[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+    n, first = len(sub) + 1, parts[0].start  # part 0: the c of parity first, each at c // 2
+    c = np.arange(n - 1)  # B holds M[c, c + 1] at (the one in part 0, the other) // 2
+    b = np.zeros(((n + 1 - first) // 2, (n + first) // 2))
+    b[(c + (c % 2 != first)) // 2, (c + (c % 2 == first)) // 2] = (1j * sub).real
+    u, s, vt = np.linalg.svd(b)  # numpy's, not scipy's: see _sector_rotation
+    defect = np.abs(s - np.round(s)).max(initial=0.0)
+    if not defect <= 1e-10 * j:  # a NaN fails too
+        raise IntegrityError(f"sector Jy singular value off an integer by {defect:.2e}")
+    # D = sign (-i)^(c % 2); the (-i)^(c % 2) give U sin(pS) V^T the sign of part 0's parity
+    sign = (-1.0) ** (np.arange(n) // 2)
+    u, v = u * ((-1.0) ** first * sign[parts[0], None]), vt.T * sign[parts[1], None]
+    if shift:
+        r01 = (u[:, :s.size] * np.sin(math.pi / 2 * s)) @ v[:, :s.size].T
+        kept = [r01, -r01.T]
+    else:
+        kept = [(w * np.concatenate([np.cos(math.pi / 2 * s), np.ones(w.shape[1] - s.size)])) @ w.T
+                for w in (u, v)]
+    for r in kept:
+        _check_unitary(r)
+    return kept
 
 
 def otoc_series(params: KickedTopParams, n_max: int,
@@ -356,16 +383,18 @@ def otoc_series(params: KickedTopParams, n_max: int,
     Each phase multiply also transposes, so that both products take a
     contiguous operand from the left; a kick ends with X_n^T.
     With P_e = X_n X^dag and P_o = X_n^dag X, C2 = |P_e|_F^2 + |P_o|_F^2 and
-    C4 = Tr(P_e^2) + Tr(P_o^2).  X is tridiagonal, so P_e^T = conj(X) X_n^T
-    and P_o^dag = (X^dag K_e)(conj(K_e) X_n) are sparse products with
-    contiguous operands in O(d^2), and the norms and traces are read off
-    these.  No d x d matrix is built.
+    C4 = Tr(P_e^2) + Tr(P_o^2) = 2 Re Tr(P_e^2) (see _check_trace_pair).
+    X is tridiagonal, so P_e^T = conj(X) X_n^T and
+    P_o^dag = (X^dag K_e)(conj(K_e) X_n) are sparse products with contiguous
+    operands in O(d^2), and the norms and traces are read off these.  No
+    d x d matrix is built.
 
     All of it runs block by block over the parts of _block_map.  For
     integer j at p = pi/2 Jx is Z-odd and the rotations keep or swap the Z
     parts, so X_n is held as its two nonzero quarter blocks X_n[a, a ^ t],
     t flipping every kick, and a kick is four real quarter-size GEMMs:
-    d^3/4 flops.  Otherwise there is one part and one block.
+    d^3/4 flops, and the rotation blocks take one quarter-size SVD per
+    sector.  Otherwise there is one part and one block.
     """
     # imported here, not with the module: scipy.sparse would add about 30 ms
     # (5%) to `import permsym.cli`, and so to every experiment's start-up
@@ -381,19 +410,17 @@ def otoc_series(params: KickedTopParams, n_max: int,
     raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
     m = -j + np.arange(dim)
     kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
-    v_e, v_o = (csr_array(v) for v in parity_bases(dim))
-
-    def block(left, op, right):
-        return (left.conj().T @ op @ right).toarray()
-
-    jy = (raising - raising.T) * -0.5j
-    real = dim % 2 == 1  # integer j: real parity bases
+    v_e, v_o = parity_bases(dim)
     parts, shift_e, shift_o = _block_map(dim, params.p)
-    r_e = _sector_rotation(block(v_e, jy, v_e), params.p, real)
-    r_o = _sector_rotation(block(v_o, jy, v_o), params.p, real)
-    r_e_dag = [r.conj().T.copy() for r in _sector_blocks(r_e, parts, shift_e)]
-    r_o_t = [r.T.copy() for r in _sector_blocks(r_o, parts, shift_o)]
-    x = block(v_e, (raising + raising.T) * 0.5, v_o)
+    jy = (raising - raising.T) * -0.5j
+    sectors = [(v.conj().T @ jy @ v, shift) for v, shift in ((v_e, shift_e), (v_o, shift_o))]
+    if len(parts) == 1:  # real for integer j: real parity bases
+        r_e, r_o = ([_sector_rotation(b.toarray(), params.p, dim % 2 == 1)] for b, _ in sectors)
+    else:
+        r_e, r_o = (_half_pi_rotation(b.diagonal(-1), parts, shift, j) for b, shift in sectors)
+    r_e_dag = [r.conj().T.copy() for r in r_e]
+    r_o_t = [r.T.copy() for r in r_o]
+    x = (v_e.conj().T @ ((raising + raising.T) * 0.5) @ v_o).toarray()
     x_shift = len(parts) - 1  # Jx is Z-odd: split, X lives on X[a, a ^ 1]
     kick_e = [kick[:x.shape[0], None][part] for part in parts]
     kick_o = [kick[:x.shape[1], None][part] for part in parts]
@@ -407,21 +434,24 @@ def otoc_series(params: KickedTopParams, n_max: int,
     def total(terms):
         return sum(terms[1:], terms[0])  # not from int 0, which drops the sign of a zero
 
-    def traces(p_e_t, p_o_dag, pair):
+    def square_trace(blocks, pair):
         # block a of P_e^T, or of P_o^dag, meets block a ^ pair in Tr(P^2)
-        c2 = total([np.vdot(b, b) for b in p_e_t]) + total([np.vdot(b, b) for b in p_o_dag])
-        c4 = (total([np.einsum("ij,ji->", b, p_e_t[a ^ pair]) for a, b in enumerate(p_e_t)])
-              + total([np.einsum("ij,ji->", b, p_o_dag[a ^ pair])
-                       for a, b in enumerate(p_o_dag)]).conjugate())
-        return _real_trace(c2, bound) / scale, _real_trace(c4, bound) / scale
+        return total([np.einsum("ij,ji->", b, blocks[a ^ pair]) for a, b in enumerate(blocks)])
 
-    c2 = np.empty(n_max + 1)
-    c4 = np.empty(n_max + 1)
+    def traces(p_e_t, p_o_dag, pair, check):
+        c2 = total([np.vdot(b, b) for b in p_e_t]) + total([np.vdot(b, b) for b in p_o_dag])
+        t_e = square_trace(p_e_t, pair)
+        if check:  # at the first and last step: it tests the P_o products that C2 reads
+            _check_trace_pair(square_trace(p_o_dag, pair), t_e, bound)
+        return _real_trace(c2, bound) / scale, 2.0 * t_e.real / scale
+
+    c2, c4 = np.empty(n_max + 1), np.empty(n_max + 1)
     xt, t = [b.T.copy() for b in x_blocks], x_shift  # xt[a] = X_n[a, a ^ t]^T
     for n in range(n_max + 1):
         z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]  # conj(K_e) X_n
         c2[n], c4[n] = traces([x_conj[a ^ t] @ b for a, b in enumerate(xt)],
-                              [xd @ b for xd, b in zip(x_dag_kick, z)], t ^ x_shift)
+                              [xd @ b for xd, b in zip(x_dag_kick, z)], t ^ x_shift,
+                              n in (0, n_max))
         if n < n_max:
             kicked = [None] * len(parts)
             for a, b in enumerate(z):

@@ -1,0 +1,125 @@
+"""Test-only helpers and oracles: code with no caller in the package itself."""
+
+import math
+
+import numpy as np
+
+from permsym.core import PSState, embed_to_full
+from permsym.ensembles import (MCResult, _complex_normals, _summarize,
+                               mc_block_entropy, mc_purity_sweep,
+                               mc_tmi_samples)
+from permsym.errors import IntegrityError
+import permsym.kickedtop as kickedtop
+from permsym.measures import VON_NEUMANN
+
+
+def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
+    """The Dicke state |m_N> as a full 2^N real vector."""
+    return embed_to_full(PSState(np.eye(n_qubits + 1)[m])).real
+
+
+def mc_purity(n, q, samples, seed, **kw) -> MCResult:
+    return mc_purity_sweep(n, samples, seed, [q], **kw)[q]
+
+
+def mc_tmi(n, sizes, kind, samples, seed, **kw) -> MCResult:
+    return _summarize(mc_tmi_samples(n, sizes, kind, samples, seed, **kw))
+
+
+def fit_vn_alpha(pairs, samples: int, seed: int) -> float:
+    """Least-squares fit of the constant in the PS average-entropy form.
+
+    pairs is an iterable of (N, Q); the deviation log2(Q+1) - <S_vN> is
+    regressed through the origin against (Q+1)/(N-Q+1).
+    """
+    xs, ys = [], []
+    for i, (n, q) in enumerate(pairs):
+        res = mc_block_entropy(n, q, VON_NEUMANN, samples, seed + i)
+        xs.append((q + 1) / (n - q + 1))
+        ys.append(math.log2(q + 1) - res.mean)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return float(xs @ ys / (xs @ xs))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = _complex_normals(rng, dim * dim).reshape(dim, dim)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def sector_blocks(r: np.ndarray, parts, shift: int) -> list:
+    """The blocks r[a, a ^ shift] of a half-size sector rotation, one per part a.
+
+    The oracle for kickedtop._half_pi_rotation.  Every other block is
+    dropped and must be round-off: one above 1e-10 (or a NaN) means the
+    symmetry behind the block map does not hold.
+    """
+    for a, rows in enumerate(parts):
+        for b, cols in enumerate(parts):
+            if b != a ^ shift:
+                defect = np.abs(r[rows, cols]).max(initial=0.0)
+                if not defect <= 1e-10:  # a NaN fails too
+                    raise IntegrityError(f"dropped sector rotation block {defect:.2e} > 1e-10")
+    return [r[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+
+
+def two_trace_otoc(params, n_max: int):
+    """(C2, C4, F) by the kernel kickedtop.otoc_series ran before the SVD set-up.
+
+    Half-size sector rotations from _sector_rotation, cut to quarter blocks
+    by sector_blocks at p = pi/2, and C4 as the sum Tr(P_e^2) + Tr(P_o^2)
+    of two traces.  Its C2 is the same arithmetic as otoc_series's.
+    """
+    from scipy.sparse import csr_array
+
+    dim, j = params.dim, float(params.j)
+    ladder = kickedtop._ladder_coefficients(j)
+    raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
+    m = -j + np.arange(dim)
+    kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
+    v_e, v_o = kickedtop.parity_bases(dim)
+
+    def block(left, op, right):
+        return (left.conj().T @ op @ right).toarray()
+
+    jy = (raising - raising.T) * -0.5j
+    parts, shift_e, shift_o = kickedtop._block_map(dim, params.p)
+    r_e, r_o = (sector_blocks(kickedtop._sector_rotation(block(v, jy, v), params.p, dim % 2 == 1),
+                              parts, shift) for v, shift in ((v_e, shift_e), (v_o, shift_o)))
+    r_e_dag = [r.conj().T.copy() for r in r_e]
+    r_o_t = [r.T.copy() for r in r_o]
+    x = block(v_e, (raising + raising.T) * 0.5, v_o)
+    x_shift = len(parts) - 1
+    kick_e = [kick[:x.shape[0], None][part] for part in parts]
+    kick_o = [kick[:x.shape[1], None][part] for part in parts]
+    x_blocks = [x[part, parts[a ^ x_shift]] for a, part in enumerate(parts)]
+    x_conj = [csr_array(x[parts[c ^ x_shift], part].conj()) for c, part in enumerate(parts)]
+    x_dag_kick = [csr_array(b.conj().T * k_e.T) for b, k_e in zip(x_blocks, kick_e)]
+    bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0
+
+    def total(terms):
+        return sum(terms[1:], terms[0])
+
+    def traces(p_e_t, p_o_dag, pair):
+        c2 = total([np.vdot(b, b) for b in p_e_t]) + total([np.vdot(b, b) for b in p_o_dag])
+        c4 = (total([np.einsum("ij,ji->", b, p_e_t[a ^ pair]) for a, b in enumerate(p_e_t)])
+              + total([np.einsum("ij,ji->", b, p_o_dag[a ^ pair])
+                       for a, b in enumerate(p_o_dag)]).conjugate())
+        return (kickedtop._real_trace(c2, bound) / j ** 4,
+                kickedtop._real_trace(c4, bound) / j ** 4)
+
+    c2, c4 = np.empty(n_max + 1), np.empty(n_max + 1)
+    xt, t = [b.T.copy() for b in x_blocks], x_shift
+    for n in range(n_max + 1):
+        z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]
+        c2[n], c4[n] = traces([x_conj[a ^ t] @ b for a, b in enumerate(xt)],
+                              [xd @ b for xd, b in zip(x_dag_kick, z)], t ^ x_shift)
+        if n < n_max:
+            kicked = [None] * len(parts)
+            for a, b in enumerate(z):
+                kicked[a ^ shift_e] = kickedtop._rotate(r_o_t[a ^ t], np.multiply(
+                    kick_o[a ^ t], kickedtop._rotate(r_e_dag[a], b).T, order="C"))
+            xt, t = kicked, t ^ shift_e ^ shift_o
+    c4[0] = c2[0]
+    return c2, c4, 2.0 * (c2 - c4)

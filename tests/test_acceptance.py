@@ -15,14 +15,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from permsym.concentration import empirical_concentration, functional_samples
-from permsym.core import (PSState, dicke_vector, embed_to_full,
-                          reduced_density_matrix)
+from permsym.core import PSState, embed_to_full, reduced_density_matrix
 from permsym.ensembles import (EnsembleSpec, avg_purity_ps,
                                avg_tmi_linear_ps_111, avg_tmi_vn_wishart_blocks,
                                avg_vn_entropy_ps, comb_identity_residual,
                                exponential_tail_slope,
                                marchenko_pastur_density, mc_block_entropy,
-                               mc_purity_sweep, mc_tmi, mc_tmi_full_samples,
+                               mc_purity_sweep, mc_tmi_full_samples,
                                mc_tmi_samples, page_entropy,
                                ps_amplitude_batch, spectral_histogram)
 from permsym.kickedtop import (KickedTopParams, _grid_orbits, ehrenfest_time,
@@ -30,6 +29,8 @@ from permsym.kickedtop import (KickedTopParams, _grid_orbits, ehrenfest_time,
                                otoc_series, time_averaged_tmi_grid,
                                timeseries_measures)
 from permsym.measures import LINEAR, VON_NEUMANN
+
+from helpers import dicke_vector, mc_tmi
 
 SEED = 20260810
 

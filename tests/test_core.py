@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
-                          coherent_state, dicke_vector, embed_coeff_table,
+                          coherent_state, embed_coeff_table,
                           embed_to_full, load_state, log_binomial,
                           block_eigenvalues, reduced_density_matrix, save_state,
                           trace_out_qubit)
 from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
+
+from helpers import dicke_vector
 
 
 def random_ps_state(n, seed):

@@ -16,17 +16,16 @@ from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entrop
                                avg_tmi_vn_ps, avg_tmi_vn_wishart,
                                avg_tmi_vn_wishart_blocks, avg_vn_entropy_ps,
                                comb_identity_residual, ensemble_eigenvalues,
-                               fit_vn_alpha,
-                               marchenko_pastur_density, mc_purity,
-                               mc_purity_sweep, mc_tmi, mc_tmi_samples,
-                               page_entropy,
-                               ps_amplitude_batch, random_unitary,
-                               reduced_density_full, sample_ps_state,
-                               sample_wishart_rdm, spectral_histogram, stream,
-                               tmi_full_state)
+                               marchenko_pastur_density, mc_purity_sweep,
+                               mc_tmi_samples, page_entropy,
+                               ps_amplitude_batch, reduced_density_full,
+                               sample_ps_state, sample_wishart_rdm,
+                               spectral_histogram, stream, tmi_full_state)
 from permsym.errors import DomainError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch, tmi_blocks,
                               tmi_sum)
+
+from helpers import fit_vn_alpha, mc_purity, mc_tmi, random_unitary
 
 
 class TestSampler:

@@ -9,9 +9,9 @@ from scipy.linalg import expm
 from permsym.core import coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
 import permsym.kickedtop as kickedtop
-from permsym.kickedtop import (KickedTopParams, _block_map, _check_unitary,
-                               _grid_orbits, _real_rotation, _real_trace,
-                               _sector_blocks, _sector_rotation,
+from permsym.kickedtop import (KickedTopParams, _block_map, _check_trace_pair,
+                               _check_unitary, _grid_orbits, _half_pi_rotation,
+                               _real_rotation, _real_trace, _sector_rotation,
                                angular_momentum_matrices, bloch_vector,
                                build_spin_system, classical_step,
                                classical_tangent_step, ehrenfest_time, evolve,
@@ -20,6 +20,8 @@ from permsym.kickedtop import (KickedTopParams, _block_map, _check_unitary,
                                phase_portrait, saturation_residuals,
                                time_averaged_tmi_grid, timeseries_measures)
 from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
+
+from helpers import sector_blocks, two_trace_otoc
 
 # integer and half-integer spins up to 20, kick strengths and rotation angles
 SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
@@ -74,7 +76,7 @@ def complex_sector_otoc(params, n_max):
     even->odd block X of Jx, X_n = u_e^dag X_{n-1} u_o, and dense half-size
     trace products P_e = X_n X^dag, P_o = X_n^dag X."""
     system = build_spin_system(params)
-    v_e, v_o = parity_bases(system.dim)
+    v_e, v_o = (v.toarray() for v in parity_bases(system.dim))
     u_e_dag = (v_e.conj().T @ system.floquet @ v_e).conj().T
     u_o = v_o.conj().T @ system.floquet @ v_o
     x = v_e.conj().T @ system.jx @ v_o
@@ -411,7 +413,7 @@ class TestOtoc:
         for two_j in range(2, 41, 2):
             dim = two_j + 1
             parts, shift_e, shift_o = _block_map(dim, math.pi / 2)
-            bases = parity_bases(dim)
+            bases = [v.toarray() for v in parity_bases(dim)]
             z = (-1.0) ** (np.arange(dim) - two_j // 2)
             lam = [np.vdot(v[:, 0], parity_operator(dim) @ v[:, 0]).real for v in bases]
             assert [shift_e, shift_o] == [int(eig < 0) for eig in lam]
@@ -433,28 +435,88 @@ class TestOtoc:
             assert dropped[math.pi / 2] <= 1e-10
             assert dropped[1.1] > 0.1
 
+    @pytest.mark.parametrize("two_j", list(range(2, 41, 2)) + [600, 602, 1500])
+    def test_half_pi_blocks_match_sector_rotation_oracle(self, two_j):
+        # the quarter-size SVD gives the kept blocks of the half-size eigh
+        # rotation, for both sectors and both shifts
+        parts, shift_e, shift_o = _block_map(two_j + 1, math.pi / 2)
+        for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o)):
+            want = sector_blocks(_sector_rotation(jy, math.pi / 2, real=True), parts, shift)
+            got = _half_pi_rotation(np.diagonal(jy, -1), parts, shift, two_j / 2)
+            assert [r.shape for r in got] == [r.shape for r in want]
+            assert all(r.dtype == np.float64 for r in got)
+            assert max(np.abs(g - w).max(initial=0.0) for g, w in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [10, 12])
+    @pytest.mark.parametrize("corrupt, check", [
+        (lambda u, s, vt: (u, s + np.eye(1, s.size, 1)[0] * 1e-8, vt), "singular value"),
+        (lambda u, s, vt: (u, np.where(np.arange(s.size) == 0, math.nan, s), vt),
+         "singular value"),
+        (lambda u, s, vt: (u, s + 1.0, vt), "unitarity"),  # integers of the wrong parity
+        (lambda u, s, vt: (u + 1e-8 * np.eye(*u.shape), s, vt), "unitarity"),
+        (lambda u, s, vt: (u, s, vt + 1e-8 * np.eye(*vt.shape)), "unitarity"),
+    ])
+    def test_half_pi_svd_health_checks(self, two_j, corrupt, check, monkeypatch):
+        # a singular value off its integer (or NaN) fails the integer check; a
+        # kept block made non-orthogonal fails the orthogonality check; each
+        # in both sectors
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda b: corrupt(*svd(b)))
+        parts, shift_e, shift_o = _block_map(two_j + 1, math.pi / 2)
+        for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o)):
+            with pytest.raises(IntegrityError, match=check):
+                _half_pi_rotation(np.diagonal(jy, -1), parts, shift, two_j / 2)
+        with pytest.raises(IntegrityError, match=check):
+            otoc_series(KickedTopParams(two_j / 2, 6.0), 3)
+
     @pytest.mark.parametrize("bad", [1e-8, math.nan])
     @pytest.mark.parametrize("two_j", [10, 12])
-    def test_dropped_rotation_block_must_be_round_off(self, two_j, bad, monkeypatch):
+    def test_dropped_rotation_block_must_be_round_off(self, two_j, bad):
+        # the oracle's check; otoc_series never forms the dropped blocks, and
+        # test_half_pi_svd_health_checks covers what stands in for it there
         parts, shift_e, _ = _block_map(two_j + 1, math.pi / 2)
         r = _sector_rotation(sector_jy_blocks(two_j)[0], math.pi / 2, real=True)
-        kept = _sector_blocks(r, parts, shift_e)
+        kept = sector_blocks(r, parts, shift_e)
         for a, rows in enumerate(parts):
             np.testing.assert_array_equal(kept[a], r[rows, parts[a ^ shift_e]])
         corrupt = r.copy()
         corrupt[parts[0], parts[1 - shift_e]][0, 0] += bad  # a dropped block, in place
         with pytest.raises(IntegrityError):
-            _sector_blocks(corrupt, parts, shift_e)
-        # and otoc_series runs the check on both sector rotations
-        rotation = kickedtop._sector_rotation
+            sector_blocks(corrupt, parts, shift_e)
 
-        def corrupted(jy, p, real):
-            out = rotation(jy, p, real).copy()
-            out[0, :2] += bad  # one of the two entries is in a dropped block
-            return out
-        monkeypatch.setattr(kickedtop, "_sector_rotation", corrupted)
-        with pytest.raises(IntegrityError):
-            otoc_series(KickedTopParams(two_j / 2, 6.0), 3)
+    @pytest.mark.parametrize("j, p", [(1.0, 1.1), (5.0, 1.1), (300.0, 1.1), (10.5, 1.1),
+                                      (299.5, math.pi / 2), (1.0, math.pi / 2),
+                                      (5.0, math.pi / 2), (300.0, math.pi / 2),
+                                      (301.0, math.pi / 2)])
+    def test_matches_two_trace_kernel(self, j, p):
+        # C4 = 2 Re Tr(P_e^2) against the sum of both traces; outside integer
+        # j at pi/2 the rotations are the old ones, so C2 keeps its bytes
+        params = KickedTopParams(j, 6.0, p)
+        series = otoc_series(params, 30)
+        c2, c4, f = two_trace_otoc(params, 30)
+        scale = np.abs(c2).max()
+        if _block_map(params.dim, p)[0] == (slice(None),):
+            assert series.c2.tobytes() == c2.tobytes()
+        for got, want in ((series.c2, c2), (series.c4, c4), (series.f, f)):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+        assert series.f[0] == 0.0
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_trace_pair_checked_at_first_and_last_step(self, p, monkeypatch):
+        checked = []
+
+        def spy(t_o, t_e, bound):
+            checked.append((t_o, t_e))
+            _check_trace_pair(t_o, t_e, bound)
+        monkeypatch.setattr(kickedtop, "_check_trace_pair", spy)
+        series = otoc_series(KickedTopParams(20, 6.0, p), 7)
+        assert len(checked) == 2
+        assert checked[1][1].real * 2 / 20 ** 4 == series.c4[-1]
+        bound = 2.0
+        _check_trace_pair(complex(0.5, 0.25), complex(0.5, 0.25), bound)
+        for t_o in (complex(0.5, -0.25), complex(0.5 + 1e-7, 0.25), complex(math.nan, 0.25)):
+            with pytest.raises(IntegrityError):
+                _check_trace_pair(t_o, complex(0.5, 0.25), bound)
 
     @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
     def test_sector_rotation_real_and_orthogonal_for_integer_j(self, p):
@@ -494,7 +556,9 @@ class TestParity:
     def test_bases_are_eigenbases(self, j):
         dim = round(2 * j) + 1
         pi = parity_operator(dim)
-        v_e, v_o = parity_bases(dim)
+        v_e, v_o = (v.toarray() for v in parity_bases(dim))
+        # built sparse: two nonzeros per column, one in the m = 0 column
+        assert [v.nnz for v in parity_bases(dim)] == [dim, dim - dim % 2]
         assert v_e.shape[1] == (dim + 1) // 2 and v_o.shape[1] == dim // 2
         lam = np.vdot(v_e[:, 0], pi @ v_e[:, 0])
         assert lam ** 2 == pytest.approx((-1) ** (dim - 1), abs=1e-15)
