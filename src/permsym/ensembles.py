@@ -17,7 +17,6 @@ it per sample, which gives the same bits as a fresh stream per sample.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +101,7 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
         raise DomainError(f"sample count {total} must be >= 1")
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: start-up time
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda rc: worker(*rc), ranges))
     else:

@@ -396,8 +396,8 @@ def otoc_series(params: KickedTopParams, n_max: int,
     d^3/4 flops, and the rotation blocks take one quarter-size SVD per
     sector.  Otherwise there is one part and one block.
     """
-    # imported here, not with the module: scipy.sparse would add about 30 ms
-    # (5%) to `import permsym.cli`, and so to every experiment's start-up
+    # imported here, not with the module: scipy.sparse loads scipy's array-API
+    # layer, which would add about 180 ms (2-vCPU VM) to every start-up
     from scipy.sparse import csr_array
 
     if n_max < 1:

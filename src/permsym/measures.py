@@ -33,10 +33,10 @@ LINEAR = EntropyKind("linear")
 
 
 def renyi(alpha: float) -> EntropyKind:
-    """Renyi entropy of order alpha (alpha > 0, alpha != 1)."""
+    """Renyi entropy of order alpha (finite, alpha > 0, alpha != 1)."""
     alpha = float(alpha)
-    if alpha <= 0 or alpha == 1.0:
-        raise DomainError(f"Renyi order alpha={alpha} must be positive and != 1")
+    if not 0 < alpha < np.inf or alpha == 1.0:  # a NaN fails too
+        raise DomainError(f"Renyi order alpha={alpha} must be positive, finite and != 1")
     return EntropyKind("renyi", alpha)
 
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from permsym.core import PSState, embed_to_full
 from permsym.ensembles import (MCResult, _complex_normals, _summarize,
@@ -11,6 +12,14 @@ from permsym.ensembles import (MCResult, _complex_normals, _summarize,
 from permsym.errors import IntegrityError
 import permsym.kickedtop as kickedtop
 from permsym.measures import VON_NEUMANN
+
+
+def gammaln_log_binomial(n, k):
+    """log binom(n, k) from scipy's gammaln: the kernel of core.log_binomial
+    before its math.lgamma table, kept as its oracle."""
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
 def dicke_vector(n_qubits: int, m: int) -> np.ndarray:

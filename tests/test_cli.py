@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,22 @@ class TestCatalog:
             run(["no-such-experiment"])
         assert exc.value.code == 2
         assert "ensemble-spectrum" in capsys.readouterr().err
+
+
+class TestImportGraph:
+    def test_cli_import_loads_no_heavy_module(self):
+        # Every command pays for `import permsym.cli` before it computes.
+        # scipy.special, scipy.sparse and scipy.linalg each load scipy's
+        # array-API layer (numpy.f2py and more, about 0.2-0.3 s), so the
+        # package imports them, and the thread pool, only where used.
+        heavy = ("scipy.special", "scipy.sparse", "scipy.linalg", "numpy.f2py",
+                 "concurrent.futures")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import sys, permsym.cli; "
+                f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split() == []
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permsym.core as core
 from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
                           coherent_state, embed_coeff_table,
                           embed_to_full, load_state, log_binomial,
@@ -15,7 +16,7 @@ from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
 
-from helpers import dicke_vector
+from helpers import dicke_vector, gammaln_log_binomial
 
 
 def random_ps_state(n, seed):
@@ -87,6 +88,55 @@ class TestDickeNorm:
         for n, m in [(1000, 137), (5000, 100), (5000, 317)]:
             want = math.exp(0.5 * math.log(math.comb(n, m)))
             assert dicke_norm(n, m) == pytest.approx(want, rel=1e-12)
+
+
+class TestLogBinomial:
+    def test_matches_gammaln_oracle_small(self):
+        for n in range(201):
+            k = np.arange(n + 1)
+            np.testing.assert_allclose(log_binomial(n, k), gammaln_log_binomial(n, k),
+                                       rtol=0, atol=1e-12)
+
+    def test_matches_gammaln_oracle_large(self):
+        # every n up to 8192 with a random k each, and every k at 8192
+        n = np.arange(8193)
+        k = np.random.default_rng(12).integers(0, n + 1)
+        np.testing.assert_allclose(log_binomial(n, k), gammaln_log_binomial(n, k),
+                                   rtol=0, atol=1e-10)
+        k = np.arange(8193)
+        np.testing.assert_allclose(log_binomial(8192, k), gammaln_log_binomial(8192, k),
+                                   rtol=0, atol=1e-10)
+
+    def test_exact_integer_oracle(self):
+        n, comb, exact = 8192, 1, []
+        for k in range(n + 1):  # exact binom(n, k) by the integer recursion
+            exact.append(math.log(comb))
+            comb = comb * (n - k) // (k + 1)
+        np.testing.assert_allclose(log_binomial(n, np.arange(n + 1)), exact, rtol=0, atol=3e-11)
+
+    def test_zero_at_the_ends(self):
+        n = np.arange(300)
+        assert not log_binomial(n, 0).any()
+        assert not log_binomial(n, n).any()
+
+    def test_integral_floats_are_integers(self):
+        assert log_binomial(12.0, 5.0) == log_binomial(12, 5)
+
+    @pytest.mark.parametrize("n, k", [(5, 2.5), (5.5, 2), (5, -1), (5, 6), (-1, 0),
+                                      (math.nan, 1), (5, math.nan), (math.inf, 1),
+                                      (5, math.inf), (np.array([4, 5]), np.array([2, 7]))])
+    def test_rejects_non_integers_and_k_outside_range(self, n, k):
+        with pytest.raises(DomainError):
+            log_binomial(n, k)
+
+    def test_coherent_amplitudes_match_gammaln_oracle(self, monkeypatch):
+        theta = np.array([0.3, 1.1, 2.25, 3.0])
+        phi = np.array([0.0, 0.63, 4.2, 5.9])
+        new = {n: coherent_amplitudes(n, theta, phi) for n in range(1, 201)}
+        monkeypatch.setattr(core, "log_binomial", gammaln_log_binomial)
+        for n, amps in new.items():
+            np.testing.assert_allclose(amps, coherent_amplitudes(n, theta, phi),
+                                       rtol=1e-12, atol=0)
 
 
 class TestEmbedCoeff:
@@ -369,11 +419,34 @@ class TestSerialization:
         assert lines[0] == "4"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("text", [
+        "",                              # empty
+        "\n\n",                          # blank lines only
+        "two\n0.6 0.0\n0.8 0.0\n",       # header not an integer
+        "1.0\n0.6 0.0\n0.8 0.0\n",       # header not an integer
+        "1\n0.6 0.0\n",                  # too few amplitude lines
+        "1\n0.6 0.0\n0.8 0.0\n0.0 0.0\n",  # too many amplitude lines
+        "1\n0.6\n0.8 0.0\n",             # one number on a line
+        "1\n0.6 0.0 0.0\n0.8 0.0\n",     # three numbers on a line
+        "1\n0.6 x\n0.8 0.0\n",           # not a number
+        "1\nnan 0.0\n0.8 0.0\n",         # NaN amplitude
+        "1\n0.6 0.0\n0.6 0.0\n",         # not unit norm
+        "0\n1.0 0.0\n",                  # zero qubits
+        "-1\n",                          # negative qubit count
+    ])
+    def test_malformed_file_is_domain_error(self, tmp_path, text):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            load_state(path)
+
 
 class TestPSState:
     def test_norm_validation(self):
         with pytest.raises(DomainError):
             PSState(np.array([1.0, 1.0]))
+        with pytest.raises(DomainError):
+            PSState(np.array([math.nan, 1.0]))
 
     def test_amplitudes_read_only(self):
         state = random_ps_state(3, seed=8)

@@ -115,6 +115,9 @@ class TestEntropy:
             renyi(1.0)
         with pytest.raises(DomainError):
             renyi(-0.5)
+        for alpha in (0.0, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DomainError):
+                renyi(alpha)
 
     def test_integrity_checks(self):
         with pytest.raises(IntegrityError):
