@@ -21,10 +21,9 @@ from .ensembles import (EnsembleSpec, SpectralHistogram, avg_linear_entropy_ps,
                         sample_ps_state, sample_wishart_rdm,
                         spectral_histogram, stream)
 from .errors import CapacityError, DomainError, IntegrityError
-from .kickedtop import (KickedTopParams, OtocSeries, SpinSystem,
-                        build_spin_system, classical_step, ehrenfest_time,
-                        evolve, lyapunov_exponent, otoc_series,
-                        phase_portrait, time_averaged_tmi_grid,
+from .kickedtop import (KickedTopParams, OtocSeries, build_spin_system,
+                        classical_step, ehrenfest_time, lyapunov_exponent,
+                        otoc_series, phase_portrait, time_averaged_tmi_grid,
                         timeseries_measures)
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, entropy,
                        mutual_information, renyi, tmi)

@@ -116,10 +116,8 @@ def _parse_functional(text):
 # ---------------------------------------------------------------------------
 
 def _exp_ensemble_spectrum(p, seed, threads):
-    if p["kind"] == "ps":
-        spec = EnsembleSpec("ps", (p["n"], p["q"]), p["samples"], seed)
-    else:
-        spec = EnsembleSpec("wishart", (p["n1"], p["n2"]), p["samples"], seed)
+    dims = (p["n"], p["q"]) if p["kind"] == "ps" else (p["n1"], p["n2"])
+    spec = EnsembleSpec(p["kind"], dims, p["samples"], seed)  # rejects an unknown kind
     hist = spectral_histogram(spec, bins=p["bins"], threads=threads)
     rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], hist.densities[i])
             for i in range(len(hist.densities))]
@@ -148,10 +146,11 @@ def _exp_averages(p, seed, threads):
 
 
 def _exp_vn_scaling(p, seed, threads):
+    sizes = range(p["n_min"] + p["n_min"] % 2, p["n_max"] + 1, 2)
+    if not sizes:
+        raise DomainError(f"[{p['n_min']}, {p['n_max']}] holds no even qubit count")
     rows = []
-    for n in range(p["n_min"], p["n_max"] + 1):
-        if n % 2:
-            continue
+    for n in sizes:
         q = n // 2
         res = mc_block_entropy(n, q, VON_NEUMANN, p["samples"], seed, threads=threads)
         formula = avg_vn_entropy_ps(n, q, alpha=p["alpha"], half_correction=True)
@@ -165,6 +164,8 @@ def _exp_tmi_random(p, seed, threads):
     n = p["n"]
     blocks = _parse_blocks(p["blocks"])
     kind = _parse_kind(p["kind"])
+    if p["ensemble"] not in ("ps", "wishart", "both"):
+        raise DomainError(f"ensemble {p['ensemble']!r} must be one of ps, wishart, both")
     rows = []
     if p["ensemble"] in ("ps", "both"):
         vals = mc_tmi_samples(n, blocks, kind, p["samples"], seed, threads=threads)

@@ -53,10 +53,10 @@ def levy_bound(n_real_dim: int, epsilon: float, eta: float) -> float:
     """
     if n_real_dim < 2:
         raise DomainError(f"real dimension {n_real_dim} must be >= 2")
-    if epsilon < 0:
-        raise DomainError("epsilon must be >= 0")
-    if eta <= 0:
-        raise DomainError("Lipschitz constant eta must be positive")
+    if not epsilon >= 0:  # a NaN fails too
+        raise DomainError(f"epsilon={epsilon} must be >= 0")
+    if not eta > 0:
+        raise DomainError(f"Lipschitz constant eta={eta} must be positive")
     return 2.0 * math.exp(-n_real_dim * epsilon ** 2
                           / (9.0 * math.pi ** 3 * math.log(2.0) * eta ** 2))
 

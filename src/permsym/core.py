@@ -224,6 +224,8 @@ def coherent_amplitudes(n_qubits: int, theta, phi) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     phi = np.asarray(phi, dtype=float)[..., None]
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise DomainError("coherent-state angles theta and phi must be finite")
     m = np.arange(n_qubits + 1, dtype=float)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     # floor the log arguments so poles give exact zeros instead of 0*(-inf)

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, coherent_amplitudes
+from .core import coherent_amplitudes
 from .errors import CapacityError, DomainError, IntegrityError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
 
-DIM_CAP = 8192  # default cap on 2j+1; O(d^3) work must be a conscious choice
+DIM_CAP = 8192  # cap on 2j+1; O(d^3) work must be a conscious choice
 
 
 def _check_finite(**values) -> None:
@@ -58,42 +58,23 @@ class KickedTopParams:
         return self.n_qubits + 1
 
 
-@dataclass(frozen=True)
-class SpinSystem:
-    """Dense spin-j matrices and the precomputed Floquet unitary.
-
-    All matrices are in the angular momentum basis |j, m> with m
-    ascending from -j to j; jz is diagonal with exactly those entries.
-    Immutable after construction and safe to share across tasks.
-    """
-
-    params: KickedTopParams
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    floquet: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.params.dim
-
-
 def _ladder_coefficients(j: float) -> np.ndarray:
     """<m+1| J+ |m> for m = -j .. j-1: the subdiagonal of the raising operator."""
     m = -j + np.arange(round(2 * j))
     return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-def angular_momentum_matrices(j: float):
-    """Dense Jx, Jy, Jz for spin j in the ascending |j, m> basis."""
-    dim = round(2 * j) + 1
+def _kick_phases(params: KickedTopParams) -> np.ndarray:
+    """The diagonal exp(-i (k/2j) m^2) of the kick, m ascending from -j to j.
+
+    Raises CapacityError for 2j+1 above DIM_CAP, before any O(d^3) work.
+    """
+    dim = params.dim
+    if dim > DIM_CAP:
+        raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {DIM_CAP}")
+    j = float(params.j)
     m = -j + np.arange(dim)
-    raising = np.zeros((dim, dim))
-    raising[np.arange(1, dim), np.arange(dim - 1)] = _ladder_coefficients(j)
-    jx = (raising + raising.T) / 2.0 + 0j
-    jy = (raising - raising.T) / 2.0j
-    jz = np.diag(m) + 0j
-    return jx, jy, jz
+    return np.exp(-1j * params.k * m ** 2 / (2.0 * j))
 
 
 def _check_unitary(u: np.ndarray) -> None:
@@ -104,60 +85,20 @@ def _check_unitary(u: np.ndarray) -> None:
         raise IntegrityError(f"unitarity defect {defect:.2e} > 1e-10")
 
 
-def build_spin_system(params: KickedTopParams, dim_cap: int = DIM_CAP) -> SpinSystem:
-    """Construct the spin matrices and Floquet unitary for the given params.
+def build_spin_system(params: KickedTopParams) -> np.ndarray:
+    """The Floquet matrix U in the Dicke (excitation-count) order.
 
-    The rotation factor exp(-i p Jy) comes from a one-time Hermitian
-    spectral decomposition of Jy; the kick factor is diagonal.  Unitarity
-    is verified to 1e-10 before returning.
+    The Dicke index m (number of flipped qubits) is m_z = j - m, so U is
+    K R in the ascending |j, m> basis with both axes reversed.  K is the
+    diagonal kick and R = exp(-i p Jy) comes from _sector_rotation on the
+    full tridiagonal Jy, which meets its precondition, so R is real for
+    every j and passes the same realness and unitarity checks as the OTOC's
+    rotations.
     """
-    dim = params.dim
-    if dim > dim_cap:
-        raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {dim_cap}")
-    jx, jy, jz = angular_momentum_matrices(params.j)
-    m = np.diagonal(jz).real
-    kick = np.exp(-1j * params.k * m ** 2 / (2.0 * params.j))
-    w, v = np.linalg.eigh(jy)
-    rotation = (v * np.exp(-1j * params.p * w)) @ v.conj().T
-    floquet = kick[:, None] * rotation
-    _check_unitary(floquet)
-    for mat in (jx, jy, jz, floquet):
-        mat.setflags(write=False)
-    return SpinSystem(params, jx, jy, jz, floquet)
-
-
-# The Dicke excitation index m (number of flipped qubits) corresponds to
-# the angular momentum projection m_z = j - m, so amplitude vectors map
-# between the two orderings by reversal.
-
-def floquet_dicke(system: SpinSystem) -> np.ndarray:
-    """Floquet matrix reindexed to the Dicke (excitation-count) ordering."""
-    return np.ascontiguousarray(system.floquet[::-1, ::-1])
-
-
-def evolve(state: PSState, system: SpinSystem, n_steps: int) -> list:
-    """Trajectory [psi_0, ..., psi_n] under repeated kicks.
-
-    States are never renormalized; norm drift along the trajectory is a
-    numerical health metric and stays far below the 1e-9 bound.
-    """
-    if state.n_qubits != system.params.n_qubits:
-        raise DomainError(
-            f"state has {state.n_qubits} qubits, system expects {system.params.n_qubits}")
-    u = floquet_dicke(system)
-    amps = state.amplitudes
-    out = [state]
-    for _ in range(n_steps):
-        amps = u @ amps
-        out.append(PSState(amps))
-    return out
-
-
-def bloch_vector(state: PSState, system: SpinSystem) -> np.ndarray:
-    """Expectation (X, Y, Z) = <J>/j of a PS state."""
-    v = state.amplitudes[::-1]
-    return np.array([np.vdot(v, mat @ v).real
-                     for mat in (system.jx, system.jy, system.jz)]) / system.params.j
+    kick = _kick_phases(params)
+    half = 0.5j * _ladder_coefficients(params.j)
+    jy = np.diag(-half, -1) + np.diag(half, 1)
+    return np.ascontiguousarray((kick[:, None] * _sector_rotation(jy, params.p, True))[::-1, ::-1])
 
 
 def _kind_label(kind: EntropyKind) -> str:
@@ -170,8 +111,7 @@ def _kind_label(kind: EntropyKind) -> str:
 
 def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
                         n_steps: int, blocks=(1, 1, 1),
-                        kinds=(VON_NEUMANN, LINEAR),
-                        dim_cap: int = DIM_CAP) -> dict:
+                        kinds=(VON_NEUMANN, LINEAR)) -> dict:
     """Entanglement / MI / TMI time series from a coherent initial state.
 
     Returns a dict of equal-length columns: 'step' plus, for each entropy
@@ -180,8 +120,7 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
     q1, q2, q3 = blocks
     n = params.n_qubits
     _check_blocks(n, blocks)
-    system = build_spin_system(params, dim_cap=dim_cap)
-    u = floquet_dicke(system)
+    u = build_spin_system(params)
     traj = np.empty((n_steps + 1, n + 1), dtype=complex)
     traj[0] = coherent_amplitudes(n, theta, phi)
     for step in range(n_steps):
@@ -277,24 +216,25 @@ def parity_bases(dim: int):
 def _real_rotation(r: np.ndarray) -> np.ndarray:
     """r as float64, for a rotation that must be real up to round-off.
 
-    For integer j, exp(-i p Jy) is real orthogonal (Jy is imaginary
-    antisymmetric) and the parity bases are real, so the imaginary part of a
-    sector rotation is round-off; anything larger (or a NaN) means the
-    decomposition went wrong.
+    exp(-i p Jy) is real orthogonal (Jy is imaginary antisymmetric), and so
+    is its block on a parity sector for integer j, whose parity bases are
+    real; the imaginary part is then round-off, and anything larger (or a
+    NaN) means the decomposition went wrong.
     """
     defect = np.abs(r.imag).max()
     if not defect <= 1e-10:
-        raise IntegrityError(f"sector rotation imaginary part {defect:.2e} > 1e-10")
+        raise IntegrityError(f"rotation imaginary part {defect:.2e} > 1e-10")
     return np.ascontiguousarray(r.real)
 
 
 def _sector_rotation(jy: np.ndarray, p: float, real: bool) -> np.ndarray:
-    """exp(-i p jy) for the block jy of Jy on one parity sector, from a sector-size eigh.
+    """exp(-i p jy) for Jy or its block jy on one parity sector, from one eigh of its size.
 
-    The block is tridiagonal, with a real diagonal and a subdiagonal that is
-    -i times a real vector, so D^dag jy D is real symmetric for
-    D = diag((-i)^c) and a real eigh suffices.  With real (integer j) the
-    rotation is returned as float64, else as complex.
+    jy is tridiagonal, with a real diagonal and a subdiagonal that is -i
+    times a real vector, so D^dag jy D is real symmetric for
+    D = diag((-i)^c) and a real eigh suffices.  With real (the full Jy, or
+    a sector block for integer j) the rotation is returned as float64, else
+    as complex.
     """
     n = jy.shape[0]
     phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
@@ -368,8 +308,7 @@ def _half_pi_rotation(sub: np.ndarray, parts, shift: int, j: float) -> list:
     return kept
 
 
-def otoc_series(params: KickedTopParams, n_max: int,
-                dim_cap: int = DIM_CAP) -> OtocSeries:
+def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
     """Two-point correlator, four-point OTOC and commutator growth of Jx.
 
     C2(n) = Tr(Jx(n)^2 Jx^2)/j^4 and C4(n) = Tr(Jx(n) Jx Jx(n) Jx)/j^4 with
@@ -402,14 +341,10 @@ def otoc_series(params: KickedTopParams, n_max: int,
 
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    dim = params.dim
-    if dim > dim_cap:
-        raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {dim_cap}")
-    j = float(params.j)
+    kick = _kick_phases(params)
+    dim, j = params.dim, float(params.j)
     ladder = _ladder_coefficients(j)
     raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
-    m = -j + np.arange(dim)
-    kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
     v_e, v_o = parity_bases(dim)
     parts, shift_e, shift_o = _block_map(dim, params.p)
     jy = (raising - raising.T) * -0.5j
@@ -627,8 +562,7 @@ def _grid_orbits(n_theta: int, n_phi: int, p: float):
 
 def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
                            n_steps: int = 1000, blocks=(1, 1, 1),
-                           kind: EntropyKind = VON_NEUMANN,
-                           dim_cap: int = DIM_CAP):
+                           kind: EntropyKind = VON_NEUMANN):
     """Time-averaged TMI over a grid of coherent initial states.
 
     The grid discretizes theta in [0, pi) and phi in [0, 2pi); each node
@@ -642,8 +576,7 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
         raise DomainError("grid shape and step count must be positive")
     n = params.n_qubits
     _check_blocks(n, blocks)
-    system = build_spin_system(params, dim_cap=dim_cap)
-    u_t = floquet_dicke(system).T.copy()
+    u_t = build_spin_system(params).T.copy()
 
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

@@ -1,5 +1,6 @@
 """Test-only helpers and oracles: code with no caller in the package itself."""
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +56,37 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = _complex_normals(rng, dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def angular_momentum_matrices(j: float):
+    """Dense Jx, Jy, Jz for spin j in the ascending |j, m> basis."""
+    dim = round(2 * j) + 1
+    m = -j + np.arange(dim)
+    raising = np.zeros((dim, dim))
+    raising[np.arange(1, dim), np.arange(dim - 1)] = kickedtop._ladder_coefficients(j)
+    jx = (raising + raising.T) / 2.0 + 0j
+    jy = (raising - raising.T) / 2.0j
+    jz = np.diag(m) + 0j
+    return jx, jy, jz
+
+
+@functools.lru_cache(maxsize=2)
+def _dense_jy_spectrum(j: float):
+    _, jy, jz = angular_momentum_matrices(j)
+    return np.diagonal(jz).real, *np.linalg.eigh(jy)
+
+
+def dense_floquet(params) -> np.ndarray:
+    """The Floquet matrix in the ascending |j, m> basis by the kernel
+    kickedtop.build_spin_system ran before it took _sector_rotation: a dense
+    complex eigh of Jy and a diagonal kick, checked unitary to 1e-10.
+    build_spin_system returns this matrix with both axes reversed.  The
+    eigh is cached per j, for tests that sweep k or p."""
+    m, w, v = _dense_jy_spectrum(params.j)
+    kick = np.exp(-1j * params.k * m ** 2 / (2.0 * params.j))
+    floquet = kick[:, None] * ((v * np.exp(-1j * params.p * w)) @ v.conj().T)
+    kickedtop._check_unitary(floquet)
+    return floquet
 
 
 def sector_blocks(r: np.ndarray, parts, shift: int) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -151,6 +152,15 @@ class TestExitCodes:
         ["averages", "--threads", 0],
         ["averages", "--threads", -3],
         ["timeseries", "--blocks", "0,1,1"],
+        # each of these once fell back silently, or exited 4
+        ["ensemble-spectrum", "--kind", "bogus", "--samples", 10, "--bins", 5],
+        ["tmi-random", "--ensemble", "bogus", "--samples", 2],
+        ["vn-scaling", "--n-min", 4, "--n-max", 3, "--samples", 2],
+        ["vn-scaling", "--n-min", 5, "--n-max", 5, "--samples", 2],
+        ["concentration", "--n", 3, "--samples", 1000, "--epsilons", "nan"],
+        ["concentration", "--n", 3, "--samples", 1000, "--epsilons", "0.1,nan"],
+        ["timeseries", "--j", 3, "--steps", 2, "--theta", "nan"],
+        ["timeseries", "--j", 3, "--steps", 2, "--phi", "inf"],
     ])
     def test_malformed_input_exits_2(self, tmp_path, monkeypatch, args, capsys):
         monkeypatch.chdir(tmp_path)
@@ -178,6 +188,17 @@ class TestExitCodes:
             raise IntegrityError("Floquet unitarity defect 1.00e-03 > 1e-10")
         monkeypatch.setattr(kickedtop, "_check_unitary", fail)
         assert run(["otoc", "--j", 2, "--steps", 3, "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("perturb", [1e-8, 1e-8j, math.nan])
+    def test_perturbed_floquet_rotation_exits_4(self, tmp_path, monkeypatch, perturb, capsys):
+        # eigenvectors off by 1e-8 fail the unitarity or the realness check of U
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, v + perturb))(*eigh(a)))
+        assert run(["tmi-grid", "--j", 2, "--n-theta", 2, "--n-phi", 2, "--steps", 2,
+                    "--out", tmp_path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("integrity error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []

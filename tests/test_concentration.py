@@ -70,6 +70,13 @@ class TestLevyBound:
         with pytest.raises(DomainError):
             levy_bound(100, -0.1, 1.0)
 
+    @pytest.mark.parametrize("epsilon, eta", [(math.nan, 1.0), (0.1, math.nan),
+                                              (math.nan, math.nan), (0.1, -math.inf)])
+    def test_nan_arguments_rejected(self, epsilon, eta):
+        # a NaN compares false both ways, so it must fail the check, not pass it
+        with pytest.raises(DomainError):
+            levy_bound(100, epsilon, eta)
+
 
 class TestEmpirical:
     def test_tails_below_bound_and_monotone(self):

@@ -16,7 +16,7 @@ from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
 
-from helpers import dicke_vector, gammaln_log_binomial
+from helpers import angular_momentum_matrices, dicke_vector, gammaln_log_binomial
 
 
 def random_ps_state(n, seed):
@@ -387,7 +387,6 @@ class TestCoherentState:
         # product form vs rotating |j, j> by exp(i theta (Jx sin phi - Jy cos phi)),
         # checked up to global phase at small j
         from scipy.linalg import expm
-        from permsym.kickedtop import angular_momentum_matrices
         j = 2.0
         jx, jy, jz = angular_momentum_matrices(j)
         for theta, phi in [(0.7, 0.3), (2.25, 0.63), (1.9, 4.0)]:
@@ -401,6 +400,14 @@ class TestCoherentState:
     def test_bad_spin(self):
         with pytest.raises(DomainError):
             coherent_state(0.3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.5), (1.0, math.inf),
+                                            (-math.inf, 0.5), (1.0, math.nan)])
+    def test_non_finite_angles(self, theta, phi):
+        with pytest.raises(DomainError, match="finite"):
+            coherent_state(3, theta, phi)
+        with pytest.raises(DomainError, match="finite"):
+            coherent_amplitudes(6, [0.3, theta], phi)
 
 
 class TestSerialization:

@@ -6,22 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from permsym.core import coherent_amplitudes, coherent_state
+from permsym.core import PSState, coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
 import permsym.kickedtop as kickedtop
 from permsym.kickedtop import (KickedTopParams, _block_map, _check_trace_pair,
                                _check_unitary, _grid_orbits, _half_pi_rotation,
                                _real_rotation, _real_trace, _sector_rotation,
-                               angular_momentum_matrices, bloch_vector,
                                build_spin_system, classical_step,
-                               classical_tangent_step, ehrenfest_time, evolve,
-                               floquet_dicke, lyapunov_exponent,
-                               otoc_growth_rate, otoc_series, parity_bases,
-                               phase_portrait, saturation_residuals,
+                               classical_tangent_step, ehrenfest_time,
+                               lyapunov_exponent, otoc_growth_rate, otoc_series,
+                               parity_bases, phase_portrait, saturation_residuals,
                                time_averaged_tmi_grid, timeseries_measures)
 from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
 
-from helpers import sector_blocks, two_trace_otoc
+from helpers import angular_momentum_matrices, dense_floquet, sector_blocks, two_trace_otoc
 
 # integer and half-integer spins up to 20, kick strengths and rotation angles
 SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
@@ -36,11 +34,17 @@ def coherent_point(theta, phi):
                      math.cos(theta)])
 
 
+def bloch_vector(amps, j):
+    """Expectation (X, Y, Z) = <J>/j of Dicke amplitudes, from the dense spin matrices."""
+    v = amps[::-1]  # Dicke index m is m_z = j - m
+    return np.array([np.vdot(v, mat @ v).real for mat in angular_momentum_matrices(j)]) / j
+
+
 def unreduced_tmi_grid(params, grid, n_steps, blocks, kind):
     """Reference time-averaged TMI grid: every node evolved on its own."""
     n_theta, n_phi = grid
     n = params.n_qubits
-    u_t = floquet_dicke(build_spin_system(params)).T.copy()
+    u_t = build_spin_system(params).T.copy()
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -55,8 +59,7 @@ def unreduced_tmi_grid(params, grid, n_steps, blocks, kind):
 def dense_otoc(params, n_max):
     """Reference C2(n), C4(n): full-size conjugation Jx(n+1) = U^dag Jx(n) U
     and dense traces, four d x d products per kick."""
-    system = build_spin_system(params)
-    u, a = system.floquet, system.jx
+    u, (a, _, _) = dense_floquet(params), angular_momentum_matrices(params.j)
     a2 = a @ a
     scale = params.j ** 4
     c2 = [np.vdot(a2, a2).real / scale]
@@ -75,11 +78,11 @@ def complex_sector_otoc(params, n_max):
     sector blocks u_s = v_s^dag U v_s of the dense Floquet matrix, the
     even->odd block X of Jx, X_n = u_e^dag X_{n-1} u_o, and dense half-size
     trace products P_e = X_n X^dag, P_o = X_n^dag X."""
-    system = build_spin_system(params)
-    v_e, v_o = (v.toarray() for v in parity_bases(system.dim))
-    u_e_dag = (v_e.conj().T @ system.floquet @ v_e).conj().T
-    u_o = v_o.conj().T @ system.floquet @ v_o
-    x = v_e.conj().T @ system.jx @ v_o
+    u, (jx, _, _) = dense_floquet(params), angular_momentum_matrices(params.j)
+    v_e, v_o = (v.toarray() for v in parity_bases(params.dim))
+    u_e_dag = (v_e.conj().T @ u @ v_e).conj().T
+    u_o = v_o.conj().T @ u @ v_o
+    x = v_e.conj().T @ jx @ v_o
     scale = params.j ** 4
     c2, c4 = [], []
     xn = x
@@ -145,16 +148,14 @@ class TestSpinSystem:
 
     def test_unitarity(self):
         for j in (0.5, 6.0, 41.5):
-            sys_ = build_spin_system(KickedTopParams(j, 3.7, 1.1))
-            defect = np.abs(sys_.floquet.conj().T @ sys_.floquet
-                            - np.eye(sys_.dim)).max()
+            u = build_spin_system(KickedTopParams(j, 3.7, 1.1))
+            defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
             assert defect < 1e-10
 
     def test_half_spin_pure_rotation(self):
         # k=0, p=pi/2: U = exp(-i pi sigma_y / 4), a real 45-degree rotation
         # (off-diagonal signs depend on the basis ordering convention)
-        sys_ = build_spin_system(KickedTopParams(0.5, 0.0, math.pi / 2))
-        u = sys_.floquet
+        u = build_spin_system(KickedTopParams(0.5, 0.0, math.pi / 2))
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
         assert np.abs(u.imag).max() < 1e-14
         assert u[0, 0].real == pytest.approx(c, abs=1e-14)
@@ -166,61 +167,81 @@ class TestSpinSystem:
     def test_matrix_exponential_oracle(self):
         # independent scaling-and-squaring route for both factors
         params = KickedTopParams(10.0, 6.0, math.pi / 2)
-        sys_ = build_spin_system(params)
+        u = build_spin_system(params)[::-1, ::-1]  # to the ascending |j, m> basis
         jx, jy, jz = angular_momentum_matrices(10.0)
         want = expm(-1j * params.k / (2 * params.j) * jz @ jz) @ expm(-1j * params.p * jy)
-        assert abs(np.trace(sys_.floquet) - np.trace(want)) < 1e-8
-        assert np.abs(sys_.floquet - want).max() < 1e-8
+        assert abs(np.trace(u) - np.trace(want)) < 1e-8
+        assert np.abs(u - want).max() < 1e-8
 
-    def test_capacity_cap(self):
+    @pytest.mark.parametrize("two_j", list(range(1, 41)) + [120, 121, 600, 601, 1500])
+    def test_matches_dense_eigh_oracle(self, two_j, monkeypatch):
+        # one real eigh of the phased full Jy, for integer and half-integer j,
+        # against the dense complex eigh that built U before
+        rotation, rotations = kickedtop._sector_rotation, []
+
+        def spy(jy, p, real):
+            rotations.append(rotation(jy, p, real))
+            return rotations[-1]
+        monkeypatch.setattr(kickedtop, "_sector_rotation", spy)
+        for p in (math.pi / 2, 1.1, 0.3):
+            params = KickedTopParams(two_j / 2, 6.0, p)
+            u = build_spin_system(params)
+            assert u.dtype == np.complex128 and u.flags.c_contiguous
+            assert np.abs(u - dense_floquet(params)[::-1, ::-1]).max() <= 1e-13
+        assert [(r.dtype, r.shape) for r in rotations] == [(np.float64, (two_j + 1,) * 2)] * 3
+
+    @pytest.mark.parametrize("perturb, check", [
+        (lambda v: v * (1 + 1e-8), "unitarity"),  # still real, no longer orthogonal
+        (lambda v: v + 1e-8, "imaginary part"),  # off the phases D: R is complex
+        (lambda v: v + math.nan, "imaginary part"),
+    ])
+    def test_perturbed_eigenvectors_fail_health_checks(self, perturb, check, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, perturb(v)))(*eigh(a)))
+        for j in (2.0, 2.5, 30.0):
+            with pytest.raises(IntegrityError, match=check):
+                build_spin_system(KickedTopParams(j, 6.0, 1.1))
+
+    def test_capacity_cap(self, monkeypatch):
         with pytest.raises(CapacityError):
             build_spin_system(KickedTopParams(5000.0, 1.0))
+        # one shared check: 2j+1 = DIM_CAP passes it, DIM_CAP + 1 does not
+        monkeypatch.setattr(kickedtop, "DIM_CAP", 11)
+        for build in (build_spin_system, lambda params: otoc_series(params, 1)):
+            build(KickedTopParams(5.0, 1.0))
+            with pytest.raises(CapacityError, match="exceeds cap 11"):
+                build(KickedTopParams(5.5, 1.0))
 
 
 class TestEvolve:
-    def test_zero_steps_identity(self):
-        state = coherent_state(4, 1.0, 2.0)
-        sys_ = build_spin_system(KickedTopParams(4, 2.0))
-        out = evolve(state, sys_, 0)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out[0].amplitudes, state.amplitudes)
-
     def test_rotation_preserves_coherence(self):
         # k=0 is integrable: coherent states stay coherent (product states)
-        state = coherent_state(5, 1.2, 0.7)
-        sys_ = build_spin_system(KickedTopParams(5, 0.0, math.pi / 2))
-        for psi in evolve(state, sys_, 12):
-            assert block_entropy(psi, 1, LINEAR) < 1e-9
+        amps = coherent_state(5, 1.2, 0.7).amplitudes
+        u = build_spin_system(KickedTopParams(5, 0.0, math.pi / 2))
+        for _ in range(13):
+            assert block_entropy(PSState(amps), 1, LINEAR) < 1e-9
+            amps = u @ amps
 
     def test_norm_drift_bounded(self):
-        state = coherent_state(10, 2.25, 0.63)
-        sys_ = build_spin_system(KickedTopParams(10, 6.0))
-        final = evolve(state, sys_, 1000)[-1]
-        assert abs(np.sum(np.abs(final.amplitudes) ** 2) - 1.0) < 1e-9
-
-    def test_dimension_mismatch(self):
-        state = coherent_state(4, 1.0, 0.0)
-        sys_ = build_spin_system(KickedTopParams(5, 1.0))
-        with pytest.raises(DomainError):
-            evolve(state, sys_, 1)
+        amps = coherent_state(10, 2.25, 0.63).amplitudes
+        u = build_spin_system(KickedTopParams(10, 6.0))
+        for _ in range(1000):
+            amps = u @ amps
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-9
 
 
 class TestQuantumClassicalCorrespondence:
     def test_one_kick_large_j(self):
         j, k, p = 200.0, 6.0, math.pi / 2
-        sys_ = build_spin_system(KickedTopParams(j, k, p))
+        u = build_spin_system(KickedTopParams(j, k, p))
         for theta, phi in [(2.25, 0.63), (1.1, 2.0), (0.7, 4.4)]:
-            start = coherent_state(j, theta, phi)
-            kicked = evolve(start, sys_, 1)[1]
-            quantum = bloch_vector(kicked, sys_)
+            quantum = bloch_vector(u @ coherent_amplitudes(400, theta, phi), j)
             classical = classical_step(coherent_point(theta, phi), k, p)
             assert np.abs(quantum - classical).max() < 5 / math.sqrt(j)
 
     def test_initial_bloch_vector(self):
         j = 50.0
-        sys_ = build_spin_system(KickedTopParams(j, 1.0))
-        state = coherent_state(j, 2.25, 0.63)
-        np.testing.assert_allclose(bloch_vector(state, sys_),
+        np.testing.assert_allclose(bloch_vector(coherent_amplitudes(100, 2.25, 0.63), j),
                                    coherent_point(2.25, 0.63), atol=1e-10)
 
 
@@ -546,10 +567,12 @@ class TestParity:
     @PROPERTY
     @given(SPINS, KICKS, ANGLES)
     def test_commutes_with_floquet_and_flips_jx(self, j, k, p):
-        system = build_spin_system(KickedTopParams(j, k, p))
-        pi = parity_operator(system.dim)
-        assert np.abs(pi @ system.floquet - system.floquet @ pi).max() < 1e-12
-        assert np.abs(pi @ system.jx + system.jx @ pi).max() < 1e-12 * j
+        params = KickedTopParams(j, k, p)
+        pi = parity_operator(params.dim)
+        jx, _, _ = angular_momentum_matrices(j)
+        for u in (build_spin_system(params)[::-1, ::-1], dense_floquet(params)):
+            assert np.abs(pi @ u - u @ pi).max() < 1e-12
+        assert np.abs(pi @ jx + jx @ pi).max() < 1e-12 * j
 
     @PROPERTY
     @given(SPINS)
