@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _block_rows
 from .ensembles import _check_ps_block, _map_index_chunks, ps_amplitude_batch
 from .errors import DomainError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, block_spectra_batch,
@@ -90,15 +91,20 @@ def _functional_sampler(n_qubits: int, functional):
 
 
 def functional_samples(n_qubits: int, functional, samples: int, seed: int,
-                       chunk: int = 2048, threads: int = 1) -> np.ndarray:
-    """Per-sample values of the functional over random PS states."""
+                       chunk: int | None = None, threads: int = 1) -> np.ndarray:
+    """Per-sample values of the functional over random PS states.
+
+    chunk=None takes core._block_rows(n_qubits) samples per block.
+    """
     value, _ = _functional_sampler(n_qubits, functional)
+    if chunk is None:
+        chunk = _block_rows(n_qubits)
     return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
 
 def empirical_concentration(n_qubits: int, functional, samples: int,
-                            epsilons, seed: int, chunk: int = 2048,
+                            epsilons, seed: int, chunk: int | None = None,
                             threads: int = 1) -> list:
     """Empirical tails P(|f - mean| >= eps) against the spherical bound.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, log_binomial
+from .core import PSState, _block_rows, log_binomial
 from .errors import DomainError
 from .measures import (VON_NEUMANN, EntropyKind, _check_blocks,
                        block_purity_batch, block_spectra_batch, entropy,
@@ -99,6 +99,8 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
     if total < 1:
         raise DomainError(f"sample count {total} must be >= 1")
+    if not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
+        raise DomainError(f"chunk {chunk!r} must be an integer >= 1")
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at import: start-up time
@@ -109,9 +111,14 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     return np.concatenate(parts, axis=0)
 
 
-def _mc_samples(n_qubits: int, samples: int, seed: int, value, chunk: int,
+def _mc_samples(n_qubits: int, samples: int, seed: int, value, chunk: int | None,
                 threads: int) -> np.ndarray:
-    """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`."""
+    """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`.
+
+    chunk=None takes core._block_rows(n_qubits) samples per block.
+    """
+    if chunk is None:
+        chunk = _block_rows(n_qubits)
     return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
@@ -157,8 +164,13 @@ class SpectralHistogram:
     sample_count: int
 
 
-def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int = 512, threads: int = 1) -> np.ndarray:
-    """Pooled unscaled eigenvalues of all sampled reduced density matrices."""
+def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int | None = None,
+                         threads: int = 1) -> np.ndarray:
+    """Pooled unscaled eigenvalues of all sampled reduced density matrices.
+
+    chunk=None sizes blocks by core._block_rows: of N for PS(N, Q), and for
+    Wishart(N1, N2) of N = 2(N1 - 1), whose half-system Gram is N1 x N1.
+    """
     if spec.kind == "ps":
         n, q = spec.dims
         return _mc_samples(n, spec.sample_count, spec.seed,
@@ -174,11 +186,13 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int = 512, threads: int = 1)
             rhos[i] = sample_wishart_rdm(n1, n2, rng)
         return np.linalg.eigvalsh(rhos)
 
+    if chunk is None:
+        chunk = _block_rows(2 * (n1 - 1))
     return _map_index_chunks(spec.sample_count, chunk, threads, worker).ravel()
 
 
 def spectral_histogram(spec: EnsembleSpec, bins: int = 250,
-                       chunk: int = 512, threads: int = 1) -> SpectralHistogram:
+                       chunk: int | None = None, threads: int = 1) -> SpectralHistogram:
     """Histogram of eigenvalues scaled by the subsystem dimension, area 1."""
     if bins < 10:
         raise DomainError(f"bins={bins} must be >= 10")
@@ -361,7 +375,8 @@ def _summarize(values: np.ndarray) -> MCResult:
 
 
 def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
-                             seed: int, chunk: int = 2048, threads: int = 1) -> np.ndarray:
+                             seed: int, chunk: int | None = None,
+                             threads: int = 1) -> np.ndarray:
     """Per-sample block entropy over random PS states."""
     _check_ps_block(n, q)
     return _mc_samples(
@@ -371,14 +386,14 @@ def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
-                   chunk: int = 2048, threads: int = 1) -> np.ndarray:
+                   chunk: int | None = None, threads: int = 1) -> np.ndarray:
     """Per-sample TMI over random PS states."""
     return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
                        chunk, threads)
 
 
 def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
-                    chunk: int = 4096, threads: int = 1) -> dict:
+                    chunk: int | None = None, threads: int = 1) -> dict:
     """Per-Q purity statistics over one shared set of sampled states.
 
     Returns {q: MCResult}; all block sizes are evaluated on the same

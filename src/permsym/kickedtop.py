@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import coherent_amplitudes
+from .core import _block_rows, coherent_amplitudes
 from .errors import CapacityError, DomainError, IntegrityError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
@@ -139,9 +139,8 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
 
 
 def _chunked_block_entropies(traj: np.ndarray, n: int, sizes, kind) -> dict:
-    """block_entropies_batch with step-axis chunking to bound memory."""
-    biggest = max((q + 1) * (n - q + 1) for q in sizes)
-    chunk = max(1, int(4e6 / biggest))
+    """block_entropies_batch over blocks of core._block_rows(n) steps."""
+    chunk = _block_rows(n)
     parts = [block_entropies_batch(traj[s:s + chunk], n, sizes, kind)
              for s in range(0, traj.shape[0], chunk)]
     return {q: np.concatenate([p[q] for p in parts]) for q in sizes}

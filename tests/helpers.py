@@ -6,7 +6,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from permsym.core import PSState, embed_to_full
+from permsym.core import PSState, _cached_block_arrays, embed_to_full
 from permsym.ensembles import (MCResult, _complex_normals, _summarize,
                                mc_block_entropy, mc_purity_sweep,
                                mc_tmi_samples)
@@ -21,6 +21,14 @@ def gammaln_log_binomial(n, k):
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+
+def gathered_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+    """Coefficient matrices by the gather core._block_coefficients ran before
+    np.take, kept as its oracle: table * a[..., idx], whose batch axes come
+    out innermost in memory."""
+    table, idx = _cached_block_arrays(n_qubits, q)
+    return table * amplitudes[..., idx]
 
 
 def dicke_vector(n_qubits: int, m: int) -> np.ndarray:

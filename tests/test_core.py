@@ -16,7 +16,8 @@ from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
 
-from helpers import angular_momentum_matrices, dicke_vector, gammaln_log_binomial
+from helpers import (angular_momentum_matrices, dicke_vector, gammaln_log_binomial,
+                     gathered_coefficients)
 
 
 def random_ps_state(n, seed):
@@ -295,6 +296,48 @@ class TestReducedDensityMatrix:
         full = reduced_density_matrix(state, 5)
         np.testing.assert_allclose(
             full, np.outer(state.amplitudes, state.amplitudes.conj()), atol=1e-14)
+
+
+def random_amplitudes(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(shape + (n + 1,)) + 1j * rng.standard_normal(shape + (n + 1,))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def oracle_gram(amplitudes, n, q):
+    """smaller_gram's product on the oracle gather's batch-innermost operands."""
+    a = gathered_coefficients(amplitudes, n, q)
+    if 2 * q > n:
+        a = np.swapaxes(a, -1, -2)
+    return a @ np.conj(np.swapaxes(a, -1, -2))
+
+
+class TestGather:
+    @pytest.mark.parametrize("shape", [(), (1,), (300,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 6, 20])
+    def test_matches_oracle_bytes_batch_first(self, shape, n):
+        amps = random_amplitudes(shape, n, seed=n)
+        for q in range(n + 1):
+            got = core._block_coefficients(amps, n, q)
+            assert got.tobytes() == gathered_coefficients(amps, n, q).tobytes()
+            assert got.shape == shape + (q + 1, n - q + 1)
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 20, 40, 101])
+    def test_smaller_gram_matches_oracle(self, n):
+        amps = random_amplitudes((64,), n, seed=100 + n)
+        for q in range(1, n):
+            assert core.smaller_gram(amps, n, q).tobytes() == oracle_gram(amps, n, q).tobytes()
+        # the 1 x 1 Gram sum(|a|^2) at q in {0, N} is a dot product whose
+        # summation order follows the operand layout: round-off only
+        for q in (0, n):
+            np.testing.assert_allclose(core.smaller_gram(amps, n, q), oracle_gram(amps, n, q),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,rows", [(0, 65536), (1, 65536), (12, 1337), (20, 541),
+                                        (40, 148), (200, 6), (10 ** 4, 1)])
+    def test_block_rows(self, n, rows):
+        assert core._block_rows(n) == rows
 
 
 class TestTraceOutQubit:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from permsym.concentration import functional_samples
+from permsym.core import _block_rows
 
 from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entropy_ps,
                                avg_linear_entropy_wishart, avg_purity_ps,
@@ -344,6 +346,57 @@ class TestShardInvariance:
                 assert other.tobytes() == out[0].tobytes()
         sweeps = runs(lambda kw: mc_purity_sweep(n, samples, seed, [1, 3, n - 2], **kw))
         assert all(other == sweeps[0] for other in sweeps[1:])
+
+    def test_splits_across_several_derived_blocks(self):
+        # 400 samples span three default blocks at N=40 (148 rows) and eleven
+        # Wishart(41, 20) blocks (38 rows, those of N = 80)
+        n, samples, seed = 40, 400, 2 ** 63 + 5
+        assert _block_rows(n) == 148 and _block_rows(80) == 38
+        for fn in (
+            lambda kw: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, **kw),
+            lambda kw: mc_tmi_samples(n, (2, 3, 4), VON_NEUMANN, samples, seed, **kw),
+            lambda kw: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), samples, seed, **kw),
+            lambda kw: np.array([(r.mean, r.stderr) for r in
+                                 mc_purity_sweep(n, samples, seed, **kw).values()]),
+            lambda kw: ensemble_eigenvalues(EnsembleSpec("ps", (n, 20), samples, seed), **kw),
+            lambda kw: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), samples, seed),
+                                            **kw),
+        ):
+            want = fn({}).tobytes()
+            assert fn({"chunk": 7}).tobytes() == want
+            assert fn({"threads": 2}).tobytes() == want
+
+    @pytest.mark.parametrize("chunk", [0, -3, 2.5])
+    def test_chunk_must_be_a_positive_integer(self, chunk):
+        with pytest.raises(DomainError, match="chunk"):
+            mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, chunk=chunk)
+        with pytest.raises(DomainError, match="chunk"):
+            functional_samples(6, ("vn", 2), 10, 1, chunk=chunk)
+        with pytest.raises(DomainError, match="chunk"):
+            ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), chunk=chunk)
+
+
+class TestWorkingSet:
+    """Peak traced allocation of default-blocked runs (with the earlier fixed
+    4096- and 512-row chunks these peaked at 26.6 MB and 253 MB)."""
+
+    BOUND = 8 * 2 ** 20
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_purity_sweep(self):
+        assert self.peak(lambda: mc_purity_sweep(20, 8192, 3)) <= self.BOUND
+
+    def test_large_block_spectra(self):
+        spec = EnsembleSpec("ps", (200, 100), 600, 3)
+        assert self.peak(lambda: ensemble_eigenvalues(spec)) <= self.BOUND
 
 
 class TestFullSpace:
