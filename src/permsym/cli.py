@@ -16,6 +16,7 @@ eigensolver that did not converge, numpy.linalg.LinAlgError).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -23,9 +24,9 @@ import os
 import platform
 import sys
 import time
+from importlib import metadata
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .concentration import empirical_concentration
@@ -350,11 +351,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """scipy's version from its metadata, None if it is absent; the package never imports it."""
+    return next((dist.version for dist in metadata.distributions(name="scipy")), None)
+
+
 def _environment(threads: int) -> dict:
     """Versions, BLAS build and thread settings the run computed with."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__,
+           "scipy": _scipy_version(),
            "blas": {"name": blas.get("name"), "version": blas.get("version")},
            "threads": threads}
     env.update({var: os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

@@ -99,8 +99,9 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
     if total < 1:
         raise DomainError(f"sample count {total} must be >= 1")
-    if not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
-        raise DomainError(f"chunk {chunk!r} must be an integer >= 1")
+    for name, value in (("chunk", chunk), ("threads", threads)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise DomainError(f"{name} {value!r} must be an integer >= 1")
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at import: start-up time

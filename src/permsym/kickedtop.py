@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_rows, coherent_amplitudes
+from .core import _block_rows, coherent_amplitudes, log_binomial
 from .errors import CapacityError, DomainError, IntegrityError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
@@ -78,27 +78,83 @@ def _kick_phases(params: KickedTopParams) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> None:
-    gram = u.conj().T @ u
+    gram = u.conj().T @ u  # a real u takes the symmetric rank-k update, d^3 flops
     gram[np.diag_indices_from(gram)] -= 1.0  # in place: one d x d temporary fewer
-    defect = np.abs(gram).max(initial=0.0)
+    defect = np.abs(gram, out=gram if gram.dtype == np.float64 else None).max(initial=0.0)
     if not defect <= 1e-10:  # a NaN defect fails too
         raise IntegrityError(f"unitarity defect {defect:.2e} > 1e-10")
+
+
+def _half_pi_d_matrix(j: float) -> np.ndarray:
+    """Delta = exp(-i (pi/2) Jy) in the ascending |j, m> basis, by recursion; real.
+
+    Column c is the eigenvector of Jx with eigenvalue m_c (Risbo, J. Geodesy
+    70, 383 (1996)), so Delta[r+1, c] = (2 m_c Delta[r, c] - a_{r-1} Delta[r-1, c]) / a_r
+    (a: the ladder coefficients) from Delta[0, c] = sqrt(binom(2j, c)) / 2^j,
+    up to the middle row; past it the recurrence is unstable, and the rows are
+    reflected: Delta[d-1-r, c] = (-1)^(j - m_c) Delta[r, c].  2^-j underflows
+    past j ~ 1074, so the start is taken in logs: a column that would start
+    below e^-700 starts scaled up and is scaled down by 1e100 whenever it
+    passes 1e100.  Each column's norm must be 1 to 1e-10, and dividing by it
+    removes the start's round-off.
+    """
+    n = round(2 * j)
+    dim = n + 1
+    a = _ladder_coefficients(j)
+    two_m = 2.0 * (np.arange(dim) - j)
+    log_start = 0.5 * (log_binomial(n, np.arange(dim)) - n * math.log(2.0))
+    shift = np.maximum(0.0, -700.0 - log_start)
+    scaled = bool(shift.any())  # only above j ~ 1010
+    rows = (dim + 1) // 2  # with the middle row for odd dim
+    delta = np.empty((dim, dim))
+    delta[0] = np.exp(log_start + shift)
+    for r in range(rows - 1):
+        row = np.multiply(two_m, delta[r], out=delta[r + 1])
+        if r:
+            row -= a[r - 1] * delta[r - 1]
+        row /= a[r]
+        if scaled and (big := np.abs(row) > 1e100).any():
+            delta[:r + 2, big] *= 1e-100
+            shift[big] -= 100.0 * math.log(10.0)
+    top = delta[:rows]
+    norm2 = 2.0 * np.einsum("rc,rc->c", top, top) - (dim % 2) * delta[rows - 1] ** 2
+    defect = np.abs(norm2 * np.exp(-2.0 * shift) - 1.0).max()
+    if not defect <= 1e-10:  # a NaN fails too
+        raise IntegrityError(f"d-matrix column norm defect {defect:.2e} > 1e-10")
+    top /= np.sqrt(norm2)
+    delta[rows:] = (delta[:dim - rows] * (-1.0) ** (n - np.arange(dim)))[::-1]
+    return delta
+
+
+def _rotation(j: float, p: float) -> np.ndarray:
+    """R = exp(-i p Jy) in the ascending |j, m> basis: real, checked orthogonal.
+
+    R = Delta of _half_pi_d_matrix at p = pi/2 exactly, otherwise
+    R = Re[Z (Delta cos(p m) Delta^T - i Delta sin(p m) Delta^T) Z^dag] with
+    Z = diag(exp(-i pi m / 2)) (Feng, Wang, Yang & Jin, PRE 92, 043307
+    (2015)).  Z's phases (-i)^(a-b) keep the cos part at even a - b and the
+    sin part at odd a - b, so with W = Delta with row a times (-1)^(a // 2),
+    it is three real GEMMs of half the rows each, 1.5 d^3 flops.
+    """
+    delta = _half_pi_d_matrix(j)
+    if p != math.pi / 2:
+        w, m = delta * (-1.0) ** (np.arange(len(delta)) // 2)[:, None], np.arange(len(delta)) - j
+        for row, col, trig in ((0, 0, np.cos), (1, 1, np.cos), (0, 1, np.sin)):
+            delta[row::2, col::2] = (w[row::2] * trig(p * m)) @ w[col::2].T
+        delta[1::2, 0::2] = -delta[0::2, 1::2].T
+    _check_unitary(delta)
+    return delta
 
 
 def build_spin_system(params: KickedTopParams) -> np.ndarray:
     """The Floquet matrix U in the Dicke (excitation-count) order.
 
     The Dicke index m (number of flipped qubits) is m_z = j - m, so U is
-    K R in the ascending |j, m> basis with both axes reversed.  K is the
-    diagonal kick and R = exp(-i p Jy) comes from _sector_rotation on the
-    full tridiagonal Jy, which meets its precondition, so R is real for
-    every j and passes the same realness and unitarity checks as the OTOC's
-    rotations.
+    K R in the ascending |j, m> basis with both axes reversed: K is the
+    diagonal kick and R = exp(-i p Jy) comes from _rotation.
     """
     kick = _kick_phases(params)
-    half = 0.5j * _ladder_coefficients(params.j)
-    jy = np.diag(-half, -1) + np.diag(half, 1)
-    return np.ascontiguousarray((kick[:, None] * _sector_rotation(jy, params.p, True))[::-1, ::-1])
+    return np.ascontiguousarray((kick[:, None] * _rotation(params.j, params.p))[::-1, ::-1])
 
 
 def _kind_label(kind: EntropyKind) -> str:
@@ -184,70 +240,25 @@ def _check_trace_pair(t_o: complex, t_e: complex, bound: float) -> None:
         raise IntegrityError(f"Tr((P_o^dag)^2) = {t_o!r} is not Tr(P_e^2) = {t_e!r}")
 
 
-def parity_bases(dim: int):
-    """Orthonormal bases (v_e, v_o) of the two eigenspaces of the kicked-top parity.
+def _parity_block(a: np.ndarray, lam, n_rows: int, n_cols: int) -> np.ndarray:
+    """v_s^dag a v_t on the parity sectors, by index arithmetic; reads a[:n_rows].
 
-    The parity is Pi = S F in the ascending |j, m> basis: F flips m -> -m
-    and S = diag((-1)^i) with i = m + j.  It maps Jx -> -Jx, Jy -> Jy and
-    Jz -> -Jz, so it commutes with exp(-i p Jy) and with the Jz^2 kick,
-    hence with U, while Jx is odd.  Pi^2 = (-1)^(dim-1), so the eigenvalue
-    lam of v_e is +-1 for integer j and i for half-integer j; v_o has -lam.
-    Column c < dim // 2 of either basis is (|c> + lam (-1)^c |dim-1-c>)/sqrt 2;
-    for odd dim the m = 0 vector is the last column of v_e.  Both are
-    complex scipy.sparse CSR arrays, built from their nonzeros.
+    The parity Pi = S F (F flips m -> -m, S = diag((-1)^(m+j))) commutes
+    with the rotation and the kick, and anticommutes with Jx; its eigenvalues
+    lam are +-1 for integer j and +-i otherwise.  Column c < dim // 2 of the
+    basis v_t of the sector Pi = lam is (|c> + lam (-1)^c |dim-1-c>)/sqrt 2;
+    for odd dim, the sector lam = (-1)^(dim // 2) ends with |dim // 2>.
+    Pi a Pi^dag = +-a folds an entry to a[c, c'] + lam (-1)^c' a[c, dim-1-c'],
+    for sectors s, t (sizes n_rows, n_cols) that a connects, with the middle
+    row and column times 1/sqrt 2.
     """
-    from scipy.sparse import csr_array  # in-function, as in otoc_series
-
-    half = dim // 2
-    c = np.arange(half)
-    lam = (-1.0) ** half if dim % 2 else 1j
-    bases = []
-    for eig, middle in ((lam, dim % 2), (-lam, 0)):
-        mid = np.full(middle, half)
-        rows = np.concatenate([c, dim - 1 - c, mid])
-        cols = np.concatenate([c, c, mid])
-        values = np.concatenate([np.full(half, math.sqrt(0.5)),
-                                 eig * (-1.0) ** c * math.sqrt(0.5), np.ones(middle)])
-        bases.append(csr_array((values.astype(complex), (rows, cols)), shape=(dim, half + middle)))
-    return tuple(bases)
-
-
-def _real_rotation(r: np.ndarray) -> np.ndarray:
-    """r as float64, for a rotation that must be real up to round-off.
-
-    exp(-i p Jy) is real orthogonal (Jy is imaginary antisymmetric), and so
-    is its block on a parity sector for integer j, whose parity bases are
-    real; the imaginary part is then round-off, and anything larger (or a
-    NaN) means the decomposition went wrong.
-    """
-    defect = np.abs(r.imag).max()
-    if not defect <= 1e-10:
-        raise IntegrityError(f"rotation imaginary part {defect:.2e} > 1e-10")
-    return np.ascontiguousarray(r.real)
-
-
-def _sector_rotation(jy: np.ndarray, p: float, real: bool) -> np.ndarray:
-    """exp(-i p jy) for Jy or its block jy on one parity sector, from one eigh of its size.
-
-    jy is tridiagonal, with a real diagonal and a subdiagonal that is -i
-    times a real vector, so D^dag jy D is real symmetric for
-    D = diag((-i)^c) and a real eigh suffices.  With real (the full Jy, or
-    a sector block for integer j) the rotation is returned as float64, else
-    as complex.
-    """
-    n = jy.shape[0]
-    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
-    # numpy.linalg, not scipy.linalg: scipy's wheel ships its own OpenBLAS,
-    # whose thread pool then contends with numpy's in the kick products
-    # (with scipy's eigh_tridiagonal here a j=300, 20-kick series took
-    # 292 ms against 216 ms, medians of 6 runs each on 2 cores)
-    w, vecs = np.linalg.eigh((phase.conj()[:, None] * jy * phase).real)
-    vecs = phase[:, None] * vecs
-    r = (vecs * np.exp(-1j * p * w)) @ vecs.conj().T
-    if real:
-        r = _real_rotation(r)
-    _check_unitary(r)
-    return r
+    half = a.shape[1] // 2
+    block = a[:n_rows, :n_cols] + lam * (-1.0) ** np.arange(n_cols) * a[:n_rows, ::-1][:, :n_cols]
+    if n_rows > half:
+        block[half] *= math.sqrt(0.5)
+    if n_cols > half:
+        block[:, half] *= math.sqrt(0.5)
+    return block
 
 
 def _rotate(r: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -274,94 +285,73 @@ def _block_map(dim: int, p: float):
     return (slice(half % 2, None, 2), slice(1 - half % 2, None, 2)), half % 2, 1 - half % 2
 
 
-def _half_pi_rotation(sub: np.ndarray, parts, shift: int, j: float) -> list:
-    """The kept blocks r[a, a ^ shift] of r = exp(-i (pi/2) jy) on one sector, integer j.
+def _band_product(block: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """block @ b for a complex block whose nonzeros lie on its diagonals -1, 0 and 1.
 
-    jy has subdiagonal sub = -i e (e real) and a zero diagonal, so with D of
-    _sector_rotation M = D^dag jy D = [[0, B], [B^T, 0]] over the parts.
-    From B = U S V^T (S zero-padded; Golub & Kahan 1965) the kept blocks are
-    U cos(pS) U^T and V cos(pS) V^T (shift 0) or +-U sin(pS) V^T and minus
-    its transpose (shift 1), with D's phases.  S must be integers (the
-    sector's |Jy| eigenvalues) to 1e-10 j and each kept block orthogonal to
-    1e-10, which holds iff the dropped blocks vanish; else IntegrityError.
+    One shifted, row-scaled add per diagonal.  A complex block multiplies
+    faster than a real one on float64 views at the OTOC's sizes.
     """
-    n, first = len(sub) + 1, parts[0].start  # part 0: the c of parity first, each at c // 2
-    c = np.arange(n - 1)  # B holds M[c, c + 1] at (the one in part 0, the other) // 2
-    b = np.zeros(((n + 1 - first) // 2, (n + first) // 2))
-    b[(c + (c % 2 != first)) // 2, (c + (c % 2 == first)) // 2] = (1j * sub).real
-    u, s, vt = np.linalg.svd(b)  # numpy's, not scipy's: see _sector_rotation
-    defect = np.abs(s - np.round(s)).max(initial=0.0)
-    if not defect <= 1e-10 * j:  # a NaN fails too
-        raise IntegrityError(f"sector Jy singular value off an integer by {defect:.2e}")
-    # D = sign (-i)^(c % 2); the (-i)^(c % 2) give U sin(pS) V^T the sign of part 0's parity
-    sign = (-1.0) ** (np.arange(n) // 2)
-    u, v = u * ((-1.0) ** first * sign[parts[0], None]), vt.T * sign[parts[1], None]
-    if shift:
-        r01 = (u[:, :s.size] * np.sin(math.pi / 2 * s)) @ v[:, :s.size].T
-        kept = [r01, -r01.T]
-    else:
-        kept = [(w * np.concatenate([np.cos(math.pi / 2 * s), np.ones(w.shape[1] - s.size)])) @ w.T
-                for w in (u, v)]
-    for r in kept:
-        _check_unitary(r)
-    return kept
+    out = np.zeros((block.shape[0], b.shape[1]), dtype=complex)
+    for k in (-1, 0, 1):
+        values = np.diagonal(block, k)
+        if values.any():
+            out[max(-k, 0):][:values.size] += values[:, None] * b[max(k, 0):][:values.size]
+    return out
 
 
 def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
     """Two-point correlator, four-point OTOC and commutator growth of Jx.
 
     C2(n) = Tr(Jx(n)^2 Jx^2)/j^4 and C4(n) = Tr(Jx(n) Jx Jx(n) Jx)/j^4 with
-    Jx(n) = U^-n Jx U^n.  U is block diagonal in the parity sectors of
-    parity_bases, U = diag(K_e R_e, K_o R_o) with K the diagonal kick (equal
-    on m and -m, so kick[c] on column c of either basis), and Jx is
-    off-diagonal, so Jx(n) is fixed by its block
-    X_n = R_e^dag (conj(K_e) X_{n-1} K_o) R_o: two phase multiplies and two
-    products of half-size blocks per kick.  For integer j the rotations are
-    real, so each product is one real GEMM and a kick costs d^3 flops.
-    Each phase multiply also transposes, so that both products take a
-    contiguous operand from the left; a kick ends with X_n^T.
-    With P_e = X_n X^dag and P_o = X_n^dag X, C2 = |P_e|_F^2 + |P_o|_F^2 and
-    C4 = Tr(P_e^2) + Tr(P_o^2) = 2 Re Tr(P_e^2) (see _check_trace_pair).
-    X is tridiagonal, so P_e^T = conj(X) X_n^T and
-    P_o^dag = (X^dag K_e)(conj(K_e) X_n) are sparse products with contiguous
-    operands in O(d^2), and the norms and traces are read off these.  No
-    d x d matrix is built.
+    Jx(n) = U^-n Jx U^n.  In the parity sectors of _parity_block,
+    U = diag(K_e R_e, K_o R_o) with K the diagonal kick (kick[c] on column c
+    of either basis), and Jx is off-diagonal, so Jx(n) is fixed by its block
+    X_n = R_e^dag (conj(K_e) X_{n-1} K_o) R_o.  R_e, R_o and X are index
+    arithmetic on _rotation's R and on Jx, real for integer j, where each of
+    the two products of a kick is one real GEMM: d^3 flops.  Each phase
+    multiply also transposes, so both products take a contiguous operand
+    from the left; a kick ends with X_n^T.  With P_e = X_n X^dag and
+    P_o = X_n^dag X, C2 = |P_e|_F^2 + |P_o|_F^2 and C4 = 2 Re Tr(P_e^2)
+    (see _check_trace_pair).  X has at most two nonzeros per row, so
+    P_e^T = conj(X) X_n^T and P_o^dag = (X^dag K_e)(conj(K_e) X_n) are
+    O(d^2) _band_product calls on contiguous operands.
 
     All of it runs block by block over the parts of _block_map.  For
     integer j at p = pi/2 Jx is Z-odd and the rotations keep or swap the Z
     parts, so X_n is held as its two nonzero quarter blocks X_n[a, a ^ t],
     t flipping every kick, and a kick is four real quarter-size GEMMs:
-    d^3/4 flops, and the rotation blocks take one quarter-size SVD per
-    sector.  Otherwise there is one part and one block.
+    d^3/4 flops.  The kept rotation blocks are strided slices of the sector
+    blocks, each checked orthogonal, which holds iff the dropped blocks
+    vanish.  Otherwise there is one part and one block.
     """
-    # imported here, not with the module: scipy.sparse loads scipy's array-API
-    # layer, which would add about 180 ms (2-vCPU VM) to every start-up
-    from scipy.sparse import csr_array
-
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     kick = _kick_phases(params)
     dim, j = params.dim, float(params.j)
     ladder = _ladder_coefficients(j)
-    raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
-    v_e, v_o = parity_bases(dim)
+    lam = (-1.0) ** (dim // 2) if dim % 2 else 1j  # Pi on the even sector; -lam on the odd one
+    n_e, n_o = (dim + 1) // 2, dim // 2
+    rotation = _rotation(j, params.p)
     parts, shift_e, shift_o = _block_map(dim, params.p)
-    jy = (raising - raising.T) * -0.5j
-    sectors = [(v.conj().T @ jy @ v, shift) for v, shift in ((v_e, shift_e), (v_o, shift_o))]
-    if len(parts) == 1:  # real for integer j: real parity bases
-        r_e, r_o = ([_sector_rotation(b.toarray(), params.p, dim % 2 == 1)] for b, _ in sectors)
-    else:
-        r_e, r_o = (_half_pi_rotation(b.diagonal(-1), parts, shift, j) for b, shift in sectors)
+    r_e, r_o = ([b[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+                for b, shift in ((_parity_block(rotation, lam, n_e, n_e), shift_e),
+                                 (_parity_block(rotation, -lam, n_o, n_o), shift_o)))
     r_e_dag = [r.conj().T.copy() for r in r_e]
     r_o_t = [r.T.copy() for r in r_o]
-    x = (v_e.conj().T @ ((raising + raising.T) * 0.5) @ v_o).toarray()
+    for r in r_e_dag + r_o_t:  # contiguous copies check faster than strided slices
+        _check_unitary(r)
+    jx, c = np.zeros((n_e, dim)), np.arange(n_e)  # the rows of Jx that _parity_block reads
+    jx[c, c + 1] = ladder[:n_e] / 2.0
+    jx[c[1:], c[:-1]] = ladder[:n_e - 1] / 2.0
+    x = _parity_block(jx, -lam, n_e, n_o)
     x_shift = len(parts) - 1  # Jx is Z-odd: split, X lives on X[a, a ^ 1]
-    kick_e = [kick[:x.shape[0], None][part] for part in parts]
-    kick_o = [kick[:x.shape[1], None][part] for part in parts]
+    kick_e = [kick[:n_e, None][part] for part in parts]
+    kick_o = [kick[:n_o, None][part] for part in parts]
     # lists are indexed by the even sector's part a; kick_o and x_conj by the odd one's
     x_blocks = [x[part, parts[a ^ x_shift]] for a, part in enumerate(parts)]
-    x_conj = [csr_array(x[parts[c ^ x_shift], part].conj()) for c, part in enumerate(parts)]
-    x_dag_kick = [csr_array(b.conj().T * k_e.T) for b, k_e in zip(x_blocks, kick_e)]
+    # X is tridiagonal but for one corner entry, and so are these blocks
+    x_conj = [x[parts[c ^ x_shift], part].conj().astype(complex) for c, part in enumerate(parts)]
+    x_dag_kick = [b.conj().T * k_e.T for b, k_e in zip(x_blocks, kick_e)]
     bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
     scale = j ** 4
 
@@ -380,12 +370,12 @@ def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
         return _real_trace(c2, bound) / scale, 2.0 * t_e.real / scale
 
     c2, c4 = np.empty(n_max + 1), np.empty(n_max + 1)
-    xt, t = [b.T.copy() for b in x_blocks], x_shift  # xt[a] = X_n[a, a ^ t]^T
+    xt, t = [b.T.astype(complex, order="C") for b in x_blocks], x_shift  # xt[a] = X_n[a, a ^ t]^T
     for n in range(n_max + 1):
         z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]  # conj(K_e) X_n
-        c2[n], c4[n] = traces([x_conj[a ^ t] @ b for a, b in enumerate(xt)],
-                              [xd @ b for xd, b in zip(x_dag_kick, z)], t ^ x_shift,
-                              n in (0, n_max))
+        c2[n], c4[n] = traces([_band_product(x_conj[a ^ t], b) for a, b in enumerate(xt)],
+                              [_band_product(xd, b) for xd, b in zip(x_dag_kick, z)],
+                              t ^ x_shift, n in (0, n_max))
         if n < n_max:
             kicked = [None] * len(parts)
             for a, b in enumerate(z):

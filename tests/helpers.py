@@ -4,6 +4,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import gammaln
 
 from permsym.core import PSState, _cached_block_arrays, embed_to_full
@@ -86,7 +87,7 @@ def _dense_jy_spectrum(j: float):
 
 def dense_floquet(params) -> np.ndarray:
     """The Floquet matrix in the ascending |j, m> basis by the kernel
-    kickedtop.build_spin_system ran before it took _sector_rotation: a dense
+    kickedtop.build_spin_system ran before it took sector_rotation: a dense
     complex eigh of Jy and a diagonal kick, checked unitary to 1e-10.
     build_spin_system returns this matrix with both axes reversed.  The
     eigh is cached per j, for tests that sweep k or p."""
@@ -97,12 +98,109 @@ def dense_floquet(params) -> np.ndarray:
     return floquet
 
 
+def parity_bases(dim: int):
+    """Orthonormal bases (v_e, v_o) of the two eigenspaces of the kicked-top parity.
+
+    The oracle for kickedtop._parity_block, which takes v_s^dag a v_t by
+    index arithmetic.  The parity is Pi = S F in the ascending |j, m> basis:
+    F flips m -> -m and S = diag((-1)^i) with i = m + j.  Pi^2 = (-1)^(dim-1),
+    so the eigenvalue lam of v_e is +-1 for integer j and i for half-integer
+    j; v_o has -lam.  Column c < dim // 2 of either basis is
+    (|c> + lam (-1)^c |dim-1-c>)/sqrt 2; for odd dim the m = 0 vector is the
+    last column of v_e.  Both are complex scipy.sparse CSR arrays, built
+    from their nonzeros.
+    """
+    half = dim // 2
+    c = np.arange(half)
+    lam = (-1.0) ** half if dim % 2 else 1j
+    bases = []
+    for eig, middle in ((lam, dim % 2), (-lam, 0)):
+        mid = np.full(middle, half)
+        rows = np.concatenate([c, dim - 1 - c, mid])
+        cols = np.concatenate([c, c, mid])
+        values = np.concatenate([np.full(half, math.sqrt(0.5)),
+                                 eig * (-1.0) ** c * math.sqrt(0.5), np.ones(middle)])
+        bases.append(csr_array((values.astype(complex), (rows, cols)), shape=(dim, half + middle)))
+    return tuple(bases)
+
+
+def real_rotation(r: np.ndarray) -> np.ndarray:
+    """r as float64, for a rotation that must be real up to round-off.
+
+    Part of the sector_rotation oracle: exp(-i p Jy) is real orthogonal (Jy
+    is imaginary antisymmetric), and so is its block on a parity sector for
+    integer j, whose parity bases are real; the imaginary part is then
+    round-off, and anything larger (or a NaN) means the decomposition went
+    wrong.
+    """
+    defect = np.abs(r.imag).max()
+    if not defect <= 1e-10:
+        raise IntegrityError(f"rotation imaginary part {defect:.2e} > 1e-10")
+    return np.ascontiguousarray(r.real)
+
+
+def sector_rotation(jy: np.ndarray, p: float, real: bool) -> np.ndarray:
+    """exp(-i p jy) for Jy or its block jy on one parity sector, from one eigh of its size.
+
+    The kernel kickedtop built exp(-i p Jy) with before its d-matrix
+    recursion, kept as its oracle.  jy is tridiagonal, with a real diagonal
+    and a subdiagonal that is -i times a real vector, so D^dag jy D is real
+    symmetric for D = diag((-i)^c) and a real eigh suffices.  With real (the
+    full Jy, or a sector block for integer j) the rotation is returned as
+    float64, else as complex; either is checked unitary.
+    """
+    n = jy.shape[0]
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
+    w, vecs = np.linalg.eigh((phase.conj()[:, None] * jy * phase).real)
+    vecs = phase[:, None] * vecs
+    r = (vecs * np.exp(-1j * p * w)) @ vecs.conj().T
+    if real:
+        r = real_rotation(r)
+    kickedtop._check_unitary(r)
+    return r
+
+
+def half_pi_rotation(sub: np.ndarray, parts, shift: int, j: float) -> list:
+    """The kept blocks r[a, a ^ shift] of r = exp(-i (pi/2) jy) on one sector, integer j.
+
+    The SVD kernel of kickedtop.otoc_series's set-up at p = pi/2 before the
+    d-matrix recursion, kept as an oracle.  jy has subdiagonal sub = -i e
+    (e real) and a zero diagonal, so with D of sector_rotation
+    M = D^dag jy D = [[0, B], [B^T, 0]] over the parts.  From B = U S V^T
+    (S zero-padded; Golub & Kahan 1965) the kept blocks are U cos(pS) U^T and
+    V cos(pS) V^T (shift 0) or +-U sin(pS) V^T and minus its transpose
+    (shift 1), with D's phases.  S must be integers (the sector's |Jy|
+    eigenvalues) to 1e-10 j and each kept block orthogonal to 1e-10, which
+    holds iff the dropped blocks vanish; else IntegrityError.
+    """
+    n, first = len(sub) + 1, parts[0].start  # part 0: the c of parity first, each at c // 2
+    c = np.arange(n - 1)  # B holds M[c, c + 1] at (the one in part 0, the other) // 2
+    b = np.zeros(((n + 1 - first) // 2, (n + first) // 2))
+    b[(c + (c % 2 != first)) // 2, (c + (c % 2 == first)) // 2] = (1j * sub).real
+    u, s, vt = np.linalg.svd(b)
+    defect = np.abs(s - np.round(s)).max(initial=0.0)
+    if not defect <= 1e-10 * j:  # a NaN fails too
+        raise IntegrityError(f"sector Jy singular value off an integer by {defect:.2e}")
+    # D = sign (-i)^(c % 2); the (-i)^(c % 2) give U sin(pS) V^T the sign of part 0's parity
+    sign = (-1.0) ** (np.arange(n) // 2)
+    u, v = u * ((-1.0) ** first * sign[parts[0], None]), vt.T * sign[parts[1], None]
+    if shift:
+        r01 = (u[:, :s.size] * np.sin(math.pi / 2 * s)) @ v[:, :s.size].T
+        kept = [r01, -r01.T]
+    else:
+        kept = [(w * np.concatenate([np.cos(math.pi / 2 * s), np.ones(w.shape[1] - s.size)])) @ w.T
+                for w in (u, v)]
+    for r in kept:
+        kickedtop._check_unitary(r)
+    return kept
+
+
 def sector_blocks(r: np.ndarray, parts, shift: int) -> list:
     """The blocks r[a, a ^ shift] of a half-size sector rotation, one per part a.
 
-    The oracle for kickedtop._half_pi_rotation.  Every other block is
-    dropped and must be round-off: one above 1e-10 (or a NaN) means the
-    symmetry behind the block map does not hold.
+    The oracle for the quarter blocks of kickedtop.otoc_series.  Every other
+    block is dropped and must be round-off: one above 1e-10 (or a NaN) means
+    the symmetry behind the block map does not hold.
     """
     for a, rows in enumerate(parts):
         for b, cols in enumerate(parts):
@@ -113,29 +211,33 @@ def sector_blocks(r: np.ndarray, parts, shift: int) -> list:
     return [r[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
 
 
-def two_trace_otoc(params, n_max: int):
-    """(C2, C4, F) by the kernel kickedtop.otoc_series ran before the SVD set-up.
+def two_trace_otoc(params, n_max: int, svd: bool = False):
+    """(C2, C4, F) by the scipy.sparse kernel of kickedtop.otoc_series before
+    the d-matrix recursion, kept as its oracle.
 
-    Half-size sector rotations from _sector_rotation, cut to quarter blocks
-    by sector_blocks at p = pi/2, and C4 as the sum Tr(P_e^2) + Tr(P_o^2)
-    of two traces.  Its C2 is the same arithmetic as otoc_series's.
+    Half-size sector rotations from sector_rotation on the CSR sector blocks
+    of Jy, cut to quarter blocks by sector_blocks at p = pi/2 (with svd, the
+    quarter blocks of half_pi_rotation instead, as otoc_series had them), CSR
+    trace products, and C4 as the sum Tr(P_e^2) + Tr(P_o^2) of two traces.
     """
-    from scipy.sparse import csr_array
-
     dim, j = params.dim, float(params.j)
     ladder = kickedtop._ladder_coefficients(j)
     raising = csr_array((ladder, (np.arange(1, dim), np.arange(dim - 1))), shape=(dim, dim))
     m = -j + np.arange(dim)
     kick = np.exp(-1j * params.k * m ** 2 / (2.0 * j))
-    v_e, v_o = kickedtop.parity_bases(dim)
+    v_e, v_o = parity_bases(dim)
 
     def block(left, op, right):
         return (left.conj().T @ op @ right).toarray()
 
     jy = (raising - raising.T) * -0.5j
     parts, shift_e, shift_o = kickedtop._block_map(dim, params.p)
-    r_e, r_o = (sector_blocks(kickedtop._sector_rotation(block(v, jy, v), params.p, dim % 2 == 1),
-                              parts, shift) for v, shift in ((v_e, shift_e), (v_o, shift_o)))
+    if svd and len(parts) == 2:
+        r_e, r_o = (half_pi_rotation(np.diagonal(block(v, jy, v), -1), parts, shift, j)
+                    for v, shift in ((v_e, shift_e), (v_o, shift_o)))
+    else:
+        r_e, r_o = (sector_blocks(sector_rotation(block(v, jy, v), params.p, dim % 2 == 1),
+                                  parts, shift) for v, shift in ((v_e, shift_e), (v_o, shift_o)))
     r_e_dag = [r.conj().T.copy() for r in r_e]
     r_o_t = [r.T.copy() for r in r_o]
     x = block(v_e, (raising + raising.T) * 0.5, v_o)
@@ -172,3 +274,31 @@ def two_trace_otoc(params, n_max: int):
             xt, t = kicked, t ^ shift_e ^ shift_o
     c4[0] = c2[0]
     return c2, c4, 2.0 * (c2 - c4)
+
+
+def _flip_reflection_sign(monkeypatch):
+    kernel = kickedtop._half_pi_d_matrix
+
+    def flipped(j):
+        delta = kernel(j)
+        delta[(len(delta) + 1) // 2:, 1] *= -1.0  # the reflected rows of column 1
+        return delta
+    monkeypatch.setattr(kickedtop, "_half_pi_d_matrix", flipped)
+
+
+def _nan_ladder_entry(monkeypatch):
+    ladder = kickedtop._ladder_coefficients
+    monkeypatch.setattr(kickedtop, "_ladder_coefficients",
+                        lambda j: np.where(np.arange(round(2 * j)) == 0, np.nan, ladder(j)))
+
+
+# Mutations of the d-matrix recursion, each applied through monkeypatch: a
+# start row scaled by 1 + 1e-8, one column's reflection sign flipped, and a
+# NaN ladder entry.  Each must fail a health check (IntegrityError).
+RECURSION_MUTATIONS = {
+    "start-row": lambda monkeypatch: monkeypatch.setattr(
+        kickedtop, "log_binomial",
+        lambda n, k, f=kickedtop.log_binomial: f(n, k) + 2.0 * math.log1p(1e-8)),
+    "reflection-sign": _flip_reflection_sign,
+    "nan-ladder": _nan_ladder_entry,
+}

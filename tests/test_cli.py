@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import platform
 import subprocess
@@ -12,6 +11,8 @@ import scipy
 
 from permsym.cli import list_experiments, main, run_experiment
 from permsym.errors import IntegrityError
+
+from helpers import RECURSION_MUTATIONS
 
 
 def run(args):
@@ -58,6 +59,19 @@ class TestImportGraph:
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.split() == []
+
+    def test_kicked_top_runs_load_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: the OTOC and the TMI grid run on numpy
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import sys, permsym.cli as cli; "
+                "assert cli.main(['otoc', '--j', '30', '--steps', '2', "
+                f"'--out', {str(tmp_path / 'o')!r}]) == 0; "
+                "assert cli.main(['tmi-grid', '--j', '3', '--n-theta', '3', '--n-phi', '4', "
+                f"'--steps', '3', '--out', {str(tmp_path / 'g')!r}]) == 0; "
+                "print('loaded:', *(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "loaded:"
 
 
 class TestDeterminism:
@@ -192,16 +206,17 @@ class TestExitCodes:
         assert err.startswith("integrity error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("perturb", [1e-8, 1e-8j, math.nan])
-    def test_perturbed_floquet_rotation_exits_4(self, tmp_path, monkeypatch, perturb, capsys):
-        # eigenvectors off by 1e-8 fail the unitarity or the realness check of U
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, v + perturb))(*eigh(a)))
-        assert run(["tmi-grid", "--j", 2, "--n-theta", 2, "--n-phi", 2, "--steps", 2,
-                    "--out", tmp_path]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("integrity error: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("mutation", sorted(RECURSION_MUTATIONS))
+    def test_perturbed_floquet_rotation_exits_4(self, tmp_path, monkeypatch, mutation, capsys):
+        # a mutated d-matrix recursion fails the column-norm or the unitarity
+        # check of the rotation, through the Floquet matrix and the OTOC
+        RECURSION_MUTATIONS[mutation](monkeypatch)
+        for args in (["tmi-grid", "--j", 2, "--n-theta", 2, "--n-phi", 2, "--steps", 2],
+                     ["otoc", "--j", 2, "--steps", 3]):
+            assert run(args + ["--out", tmp_path]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("integrity error: ") and err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == []
 
     def test_eigensolver_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         # a NaN amplitude leaves eigvalsh unconverged at block size 3

@@ -375,6 +375,18 @@ class TestShardInvariance:
         with pytest.raises(DomainError, match="chunk"):
             ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), chunk=chunk)
 
+    @pytest.mark.parametrize("threads", [0, -4, 2.5])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        # before, these ran serially, and 2.5 with several chunks reached
+        # ThreadPoolExecutor(max_workers=2.5)
+        with pytest.raises(DomainError, match="threads"):
+            mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, chunk=3, threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            functional_samples(6, ("vn", 2), 10, 1, chunk=3, threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), chunk=3,
+                                 threads=threads)
+
 
 class TestWorkingSet:
     """Peak traced allocation of default-blocked runs (with the earlier fixed

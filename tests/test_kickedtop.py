@@ -10,16 +10,17 @@ from permsym.core import PSState, coherent_amplitudes, coherent_state
 from permsym.errors import CapacityError, DomainError, IntegrityError
 import permsym.kickedtop as kickedtop
 from permsym.kickedtop import (KickedTopParams, _block_map, _check_trace_pair,
-                               _check_unitary, _grid_orbits, _half_pi_rotation,
-                               _real_rotation, _real_trace, _sector_rotation,
-                               build_spin_system, classical_step,
-                               classical_tangent_step, ehrenfest_time,
-                               lyapunov_exponent, otoc_growth_rate, otoc_series,
-                               parity_bases, phase_portrait, saturation_residuals,
+                               _check_unitary, _grid_orbits, _parity_block,
+                               _real_trace, _rotation, build_spin_system,
+                               classical_step, classical_tangent_step,
+                               ehrenfest_time, lyapunov_exponent, otoc_growth_rate,
+                               otoc_series, phase_portrait, saturation_residuals,
                                time_averaged_tmi_grid, timeseries_measures)
 from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
 
-from helpers import angular_momentum_matrices, dense_floquet, sector_blocks, two_trace_otoc
+from helpers import (RECURSION_MUTATIONS, angular_momentum_matrices, dense_floquet,
+                     half_pi_rotation, parity_bases, real_rotation, sector_blocks,
+                     sector_rotation, two_trace_otoc)
 
 # integer and half-integer spins up to 20, kick strengths and rotation angles
 SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
@@ -102,6 +103,15 @@ def sector_jy_blocks(two_j):
     return [v.conj().T @ jy @ v for v in parity_bases(two_j + 1)]
 
 
+def sector_rotations(two_j, p):
+    """The blocks of _rotation's R on the two parity sectors, as otoc_series takes them."""
+    dim = two_j + 1
+    lam = (-1.0) ** (dim // 2) if dim % 2 else 1j
+    r = _rotation(two_j / 2, p)
+    return [_parity_block(r, lam, (dim + 1) // 2, (dim + 1) // 2),
+            _parity_block(r, -lam, dim // 2, dim // 2)]
+
+
 def parity_operator(dim):
     """Pi = S F: F flips m -> -m, S = diag((-1)^i) in the ascending basis."""
     return np.diag((-1.0) ** np.arange(dim))[:, ::-1]
@@ -173,16 +183,17 @@ class TestSpinSystem:
         assert abs(np.trace(u) - np.trace(want)) < 1e-8
         assert np.abs(u - want).max() < 1e-8
 
-    @pytest.mark.parametrize("two_j", list(range(1, 41)) + [120, 121, 600, 601, 1500])
+    @pytest.mark.parametrize("two_j", list(range(1, 41)) + [120, 121, 600, 601, 1500, 1501])
     def test_matches_dense_eigh_oracle(self, two_j, monkeypatch):
-        # one real eigh of the phased full Jy, for integer and half-integer j,
-        # against the dense complex eigh that built U before
-        rotation, rotations = kickedtop._sector_rotation, []
+        # the real d-matrix rotation, for integer and half-integer j, against
+        # the dense complex eigh that built U before: U = K R with K diagonal
+        # and unimodular, so this bounds R's error as well
+        rotation, rotations = kickedtop._rotation, []
 
-        def spy(jy, p, real):
-            rotations.append(rotation(jy, p, real))
+        def spy(j, p):
+            rotations.append(rotation(j, p))
             return rotations[-1]
-        monkeypatch.setattr(kickedtop, "_sector_rotation", spy)
+        monkeypatch.setattr(kickedtop, "_rotation", spy)
         for p in (math.pi / 2, 1.1, 0.3):
             params = KickedTopParams(two_j / 2, 6.0, p)
             u = build_spin_system(params)
@@ -190,17 +201,41 @@ class TestSpinSystem:
             assert np.abs(u - dense_floquet(params)[::-1, ::-1]).max() <= 1e-13
         assert [(r.dtype, r.shape) for r in rotations] == [(np.float64, (two_j + 1,) * 2)] * 3
 
-    @pytest.mark.parametrize("perturb, check", [
-        (lambda v: v * (1 + 1e-8), "unitarity"),  # still real, no longer orthogonal
-        (lambda v: v + 1e-8, "imaginary part"),  # off the phases D: R is complex
-        (lambda v: v + math.nan, "imaginary part"),
-    ])
-    def test_perturbed_eigenvectors_fail_health_checks(self, perturb, check, monkeypatch):
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, perturb(v)))(*eigh(a)))
+    @pytest.mark.parametrize("two_j", [1, 3, 4, 6, 20, 21, 600, 601, 1500, 1501])
+    def test_rotation_matches_sector_rotation_oracle(self, two_j):
+        # R against one eigh of the full Jy, the kernel it replaced
+        _, jy, _ = angular_momentum_matrices(two_j / 2)
+        for p in (math.pi / 2, 1.1, 0.3):
+            assert np.abs(_rotation(two_j / 2, p) - sector_rotation(jy, p, True)).max() <= 1e-12
+
+    def test_rotation_at_dim_cap(self):
+        # j = 4095, 2j+1 = DIM_CAP - 1: the start row's 2^-j underflows, so
+        # its columns are rescaled; Delta^T Delta - I in row blocks of its
+        # upper triangle, to hold 67 MB instead of a second 537 MB matrix
+        assert 0.5 ** 4095 == 0.0
+        delta = kickedtop._half_pi_d_matrix(4095.0)
+        assert np.isfinite(delta).all()
+        worst = 0.0
+        for lo in range(0, len(delta), 1024):
+            block = delta[:, lo:lo + 1024].T @ delta[:, lo:]
+            block[np.arange(len(block)), np.arange(len(block))] -= 1.0
+            worst = max(worst, np.abs(block).max())
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("mutation, check", [("start-row", "column norm"),
+                                                 ("reflection-sign", "unitarity"),
+                                                 ("nan-ladder", "column norm")])
+    def test_perturbed_eigenvectors_fail_health_checks(self, mutation, check, monkeypatch):
+        # Delta's columns are Jx's eigenvectors: a start row off by 1e-8, a
+        # flipped reflection sign or a NaN ladder entry fails a check, on
+        # the Floquet matrix and in the OTOC, at and away from p = pi/2
+        RECURSION_MUTATIONS[mutation](monkeypatch)
         for j in (2.0, 2.5, 30.0):
-            with pytest.raises(IntegrityError, match=check):
-                build_spin_system(KickedTopParams(j, 6.0, 1.1))
+            for p in (math.pi / 2, 1.1):
+                with pytest.raises(IntegrityError, match=check):
+                    build_spin_system(KickedTopParams(j, 6.0, p))
+                with pytest.raises(IntegrityError, match=check):
+                    otoc_series(KickedTopParams(j, 6.0, p), 3)
 
     def test_capacity_cap(self, monkeypatch):
         with pytest.raises(CapacityError):
@@ -450,7 +485,7 @@ class TestOtoc:
                 dropped[p] = max(
                     np.abs(r[rows, cols]).max(initial=0.0)
                     for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o))
-                    for r in [_sector_rotation(jy, p, real=True)]
+                    for r in [sector_rotation(jy, p, real=True)]
                     for a, rows in enumerate(parts)
                     for b, cols in enumerate(parts) if b != a ^ shift)
             assert dropped[math.pi / 2] <= 1e-10
@@ -458,14 +493,16 @@ class TestOtoc:
 
     @pytest.mark.parametrize("two_j", list(range(2, 41, 2)) + [600, 602, 1500])
     def test_half_pi_blocks_match_sector_rotation_oracle(self, two_j):
-        # the quarter-size SVD gives the kept blocks of the half-size eigh
-        # rotation, for both sectors and both shifts
+        # the quarter blocks otoc_series slices from the d-matrix sector
+        # blocks are the kept blocks of the half-size eigh rotation, for both
+        # sectors and both shifts
         parts, shift_e, shift_o = _block_map(two_j + 1, math.pi / 2)
-        for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o)):
-            want = sector_blocks(_sector_rotation(jy, math.pi / 2, real=True), parts, shift)
-            got = _half_pi_rotation(np.diagonal(jy, -1), parts, shift, two_j / 2)
-            assert [r.shape for r in got] == [r.shape for r in want]
-            assert all(r.dtype == np.float64 for r in got)
+        for jy, r, shift in zip(sector_jy_blocks(two_j), sector_rotations(two_j, math.pi / 2),
+                                (shift_e, shift_o)):
+            want = sector_blocks(sector_rotation(jy, math.pi / 2, real=True), parts, shift)
+            got = [r[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+            assert [b.shape for b in got] == [b.shape for b in want]
+            assert all(b.dtype == np.float64 for b in got)
             assert max(np.abs(g - w).max(initial=0.0) for g, w in zip(got, want)) <= 1e-12
 
     @pytest.mark.parametrize("two_j", [10, 12])
@@ -478,25 +515,24 @@ class TestOtoc:
         (lambda u, s, vt: (u, s, vt + 1e-8 * np.eye(*vt.shape)), "unitarity"),
     ])
     def test_half_pi_svd_health_checks(self, two_j, corrupt, check, monkeypatch):
-        # a singular value off its integer (or NaN) fails the integer check; a
-        # kept block made non-orthogonal fails the orthogonality check; each
-        # in both sectors
+        # the SVD oracle's checks: a singular value off its integer (or NaN)
+        # fails the integer check, a kept block made non-orthogonal the
+        # orthogonality check, each in both sectors.  otoc_series takes no
+        # SVD; test_perturbed_eigenvectors_fail_health_checks covers its set-up
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda b: corrupt(*svd(b)))
         parts, shift_e, shift_o = _block_map(two_j + 1, math.pi / 2)
         for jy, shift in zip(sector_jy_blocks(two_j), (shift_e, shift_o)):
             with pytest.raises(IntegrityError, match=check):
-                _half_pi_rotation(np.diagonal(jy, -1), parts, shift, two_j / 2)
-        with pytest.raises(IntegrityError, match=check):
-            otoc_series(KickedTopParams(two_j / 2, 6.0), 3)
+                half_pi_rotation(np.diagonal(jy, -1), parts, shift, two_j / 2)
 
     @pytest.mark.parametrize("bad", [1e-8, math.nan])
     @pytest.mark.parametrize("two_j", [10, 12])
     def test_dropped_rotation_block_must_be_round_off(self, two_j, bad):
         # the oracle's check; otoc_series never forms the dropped blocks, and
-        # test_half_pi_svd_health_checks covers what stands in for it there
+        # checks each kept block orthogonal instead
         parts, shift_e, _ = _block_map(two_j + 1, math.pi / 2)
-        r = _sector_rotation(sector_jy_blocks(two_j)[0], math.pi / 2, real=True)
+        r = sector_rotation(sector_jy_blocks(two_j)[0], math.pi / 2, real=True)
         kept = sector_blocks(r, parts, shift_e)
         for a, rows in enumerate(parts):
             np.testing.assert_array_equal(kept[a], r[rows, parts[a ^ shift_e]])
@@ -505,19 +541,52 @@ class TestOtoc:
         with pytest.raises(IntegrityError):
             sector_blocks(corrupt, parts, shift_e)
 
+    @pytest.mark.parametrize("two_j", [8, 9, 10, 60, 61])
+    def test_parity_blocks_match_dense_bases(self, two_j):
+        # index arithmetic against v_s^dag a v_t with the dense parity bases:
+        # the rotation's sector blocks at and away from pi/2, their quarter
+        # blocks at pi/2, and Jx's even-to-odd block
+        dim = two_j + 1
+        v_e, v_o = (v.toarray() for v in parity_bases(dim))
+        lam = (-1.0) ** (dim // 2) if dim % 2 else 1j
+        parts, shift_e, shift_o = _block_map(dim, math.pi / 2)
+        for p in (math.pi / 2, 1.1):
+            r = _rotation(two_j / 2, p)
+            for got, v, shift in zip(sector_rotations(two_j, p), (v_e, v_o), (shift_e, shift_o)):
+                want = v.conj().T @ r @ v
+                assert np.abs(got - want).max() <= 1e-14
+                if p == math.pi / 2 and len(parts) == 2:
+                    for a, rows in enumerate(parts):
+                        assert np.abs(got[rows, parts[a ^ shift]]
+                                      - sector_blocks(want, parts, shift)[a]).max() <= 1e-14
+        jx, _, _ = angular_momentum_matrices(two_j / 2)
+        x = _parity_block(jx[:v_e.shape[1]].real, -lam, v_e.shape[1], v_o.shape[1])
+        assert np.abs(x - v_e.conj().T @ jx @ v_o).max() <= 1e-14 * two_j
+
+    @pytest.mark.parametrize("j, p", [(1.0, math.pi / 2), (5.0, math.pi / 2), (30.0, math.pi / 2),
+                                      (300.0, math.pi / 2), (301.0, math.pi / 2), (1.0, 1.1),
+                                      (5.0, 1.1), (30.5, 1.1), (10.5, math.pi / 2)])
+    def test_matches_svd_csr_oracle(self, j, p):
+        # the d-matrix set-up and banded trace products against the SVD
+        # quarter blocks and scipy.sparse products they replaced
+        params = KickedTopParams(j, 6.0, p)
+        series = otoc_series(params, 20)
+        c2, c4, f = two_trace_otoc(params, 20, svd=True)
+        scale = np.abs(c2).max()
+        for got, want in ((series.c2, c2), (series.c4, c4), (series.f, f)):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
     @pytest.mark.parametrize("j, p", [(1.0, 1.1), (5.0, 1.1), (300.0, 1.1), (10.5, 1.1),
                                       (299.5, math.pi / 2), (1.0, math.pi / 2),
                                       (5.0, math.pi / 2), (300.0, math.pi / 2),
                                       (301.0, math.pi / 2)])
     def test_matches_two_trace_kernel(self, j, p):
-        # C4 = 2 Re Tr(P_e^2) against the sum of both traces; outside integer
-        # j at pi/2 the rotations are the old ones, so C2 keeps its bytes
+        # C4 = 2 Re Tr(P_e^2) against the sum of both traces, with the eigh
+        # sector rotations of the oracle
         params = KickedTopParams(j, 6.0, p)
         series = otoc_series(params, 30)
         c2, c4, f = two_trace_otoc(params, 30)
         scale = np.abs(c2).max()
-        if _block_map(params.dim, p)[0] == (slice(None),):
-            assert series.c2.tobytes() == c2.tobytes()
         for got, want in ((series.c2, c2), (series.c4, c4), (series.f, f)):
             assert np.abs(got - want).max() <= 1e-12 * scale
         assert series.f[0] == 0.0
@@ -542,25 +611,26 @@ class TestOtoc:
     @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
     def test_sector_rotation_real_and_orthogonal_for_integer_j(self, p):
         for two_j in range(1, 41):
-            for jy in sector_jy_blocks(two_j):
-                r = _sector_rotation(jy, p, real=two_j % 2 == 0)
+            for r in sector_rotations(two_j, p):
                 eye = np.eye(r.shape[0])
+                assert r.flags.c_contiguous
                 if two_j % 2:
                     assert r.dtype == np.complex128
                     assert np.abs(r.conj().T @ r - eye).max() <= 1e-10
                 else:
-                    assert r.dtype == np.float64 and r.flags.c_contiguous
+                    assert r.dtype == np.float64
                     assert np.abs(r.T @ r - eye).max() <= 1e-10
 
     def test_real_rotation_rejects_non_round_off_imaginary_part(self):
+        # the eigh oracle's check; the d-matrix rotation is real by construction
         r = np.eye(3) + 1e-14j
-        assert _real_rotation(r).dtype == np.float64
+        assert real_rotation(r).dtype == np.float64
         for bad in (np.eye(3) + 1e-8j, np.full((3, 3), complex(0.0, math.nan))):
             with pytest.raises(IntegrityError):
-                _real_rotation(bad)
-        # a half-integer rotation is complex: taken as real, it must fail
+                real_rotation(bad)
+        # a half-integer sector rotation is complex: taken as real, it must fail
         with pytest.raises(IntegrityError):
-            _sector_rotation(sector_jy_blocks(3)[0], 1.1, real=True)
+            sector_rotation(sector_jy_blocks(3)[0], 1.1, real=True)
 
 
 class TestParity:
