@@ -148,6 +148,12 @@ def _block_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     return table * np.take(amplitudes, idx, axis=-1)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise DomainError unless value is an integer >= 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise DomainError(f"{name} {value!r} must be an integer >= 1")
+
+
 def _block_rows(n_qubits: int) -> int:
     """Batch rows per block: BLOCK_BYTES over one complex (N//2+1)^2 Gram.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, _block_rows, log_binomial
+from .core import PSState, _block_rows, _check_count, log_binomial
 from .errors import DomainError
 from .measures import (VON_NEUMANN, EntropyKind, _check_blocks,
                        block_purity_batch, block_spectra_batch, entropy,
@@ -99,9 +99,8 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
     if total < 1:
         raise DomainError(f"sample count {total} must be >= 1")
-    for name, value in (("chunk", chunk), ("threads", threads)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise DomainError(f"{name} {value!r} must be an integer >= 1")
+    _check_count("chunk", chunk)
+    _check_count("threads", threads)
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at import: start-up time

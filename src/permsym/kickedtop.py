@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import _block_rows, coherent_amplitudes, log_binomial
+from .core import _block_rows, _check_count, coherent_amplitudes, log_binomial
 from .errors import CapacityError, DomainError, IntegrityError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
@@ -36,7 +37,10 @@ def _check_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class KickedTopParams:
-    """Spin j (positive half-integer), kick strength k >= 0, rotation p."""
+    """Spin j (positive half-integer), kick strength k >= 0, rotation p.
+
+    A j within 1e-9 of a half-integer is stored as that half-integer.
+    """
 
     j: float
     k: float
@@ -48,6 +52,7 @@ class KickedTopParams:
             raise DomainError(f"j={self.j} must be a positive half-integer")
         if self.k < 0:
             raise DomainError(f"kick strength k={self.k} must be >= 0")
+        object.__setattr__(self, "j", round(2 * self.j) / 2)
 
     @property
     def n_qubits(self) -> int:
@@ -72,9 +77,8 @@ def _kick_phases(params: KickedTopParams) -> np.ndarray:
     dim = params.dim
     if dim > DIM_CAP:
         raise CapacityError(f"dimension 2j+1 = {dim} exceeds cap {DIM_CAP}")
-    j = float(params.j)
-    m = -j + np.arange(dim)
-    return np.exp(-1j * params.k * m ** 2 / (2.0 * j))
+    m = -params.j + np.arange(dim)
+    return np.exp(-1j * params.k * m ** 2 / (2.0 * params.j))
 
 
 def _check_unitary(u: np.ndarray) -> None:
@@ -176,6 +180,7 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
     q1, q2, q3 = blocks
     n = params.n_qubits
     _check_blocks(n, blocks)
+    _check_count("n_steps", n_steps)
     u = build_spin_system(params)
     traj = np.empty((n_steps + 1, n + 1), dtype=complex)
     traj[0] = coherent_amplitudes(n, theta, phi)
@@ -285,18 +290,83 @@ def _block_map(dim: int, p: float):
     return (slice(half % 2, None, 2), slice(1 - half % 2, None, 2)), half % 2, 1 - half % 2
 
 
-def _band_product(block: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """block @ b for a complex block whose nonzeros lie on its diagonals -1, 0 and 1.
+def _bands(block: np.ndarray):
+    """(shape, ((k, diagonal k), ...)) of a block whose nonzeros lie on its diagonals -1, 0 and 1.
+
+    All-zero diagonals are left out; the diagonals are read-only copies.
+    """
+    diagonals = []
+    for k in (-1, 0, 1):
+        values = np.diagonal(block, k).copy()
+        if values.any():
+            values.setflags(write=False)
+            diagonals.append((k, values))
+    return block.shape, tuple(diagonals)
+
+
+def _band_dense(bands) -> np.ndarray:
+    """The complex C-contiguous block of _bands' (shape, diagonals)."""
+    shape, diagonals = bands
+    out = np.zeros(shape, dtype=complex)
+    for k, values in diagonals:
+        i = np.arange(values.size) + max(-k, 0)
+        out[i, i + k] = values
+    return out
+
+
+def _band_product(bands, b: np.ndarray) -> np.ndarray:
+    """block @ b for a block given as _bands' (shape, diagonals).
 
     One shifted, row-scaled add per diagonal.  A complex block multiplies
     faster than a real one on float64 views at the OTOC's sizes.
     """
-    out = np.zeros((block.shape[0], b.shape[1]), dtype=complex)
-    for k in (-1, 0, 1):
-        values = np.diagonal(block, k)
-        if values.any():
-            out[max(-k, 0):][:values.size] += values[:, None] * b[max(k, 0):][:values.size]
+    shape, diagonals = bands
+    out = np.zeros((shape[0], b.shape[1]), dtype=complex)
+    for k, values in diagonals:
+        out[max(-k, 0):][:values.size] += values[:, None] * b[max(k, 0):][:values.size]
     return out
+
+
+@lru_cache(maxsize=1)
+def _otoc_setup(j: float, p: float):
+    """What otoc_series needs of (j, p) alone: built, checked and kept for one (j, p).
+
+    Returns (parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound):
+    _block_map's parts and shifts; the kept rotation blocks R_e^dag and
+    R_o^T, each checked orthogonal here, so a cold call runs every check;
+    X's blocks transposed, and conjugated, as _bands; and j^2 Tr(Jx^2),
+    the bound on |C2| and |C4|.  Every array is read-only.  A sweep over k
+    at fixed (j, p) pays the O(d^3) rotation and its checks once; the
+    blocks hold d^2/4 doubles at integer j and p = pi/2, d^2/2 at integer
+    j otherwise and d^2 at half-integer j.  _otoc_setup.cache_clear()
+    frees them.
+    """
+    dim = round(2 * j) + 1
+    ladder = _ladder_coefficients(j)
+    lam = (-1.0) ** (dim // 2) if dim % 2 else 1j  # Pi on the even sector; -lam on the odd one
+    n_e, n_o = (dim + 1) // 2, dim // 2
+    rotation = _rotation(j, p)
+    parts, shift_e, shift_o = _block_map(dim, p)
+    r_e, r_o = ([b[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
+                for b, shift in ((_parity_block(rotation, lam, n_e, n_e), shift_e),
+                                 (_parity_block(rotation, -lam, n_o, n_o), shift_o)))
+    r_e_dag = tuple(r.conj().T.copy() for r in r_e)
+    r_o_t = tuple(r.T.copy() for r in r_o)
+    for r in r_e_dag + r_o_t:  # contiguous copies check faster than strided slices
+        _check_unitary(r)
+        r.setflags(write=False)
+    jx, c = np.zeros((n_e, dim)), np.arange(n_e)  # the rows of Jx that _parity_block reads
+    jx[c, c + 1] = ladder[:n_e] / 2.0
+    jx[c[1:], c[:-1]] = ladder[:n_e - 1] / 2.0
+    x = _parity_block(jx, -lam, n_e, n_o)
+    x_shift = len(parts) - 1  # Jx is Z-odd: split, X lives on X[a, a ^ 1]
+    # indexed by the even sector's part a, x_conj by the odd one's; X is
+    # tridiagonal but for one corner entry, and so are these blocks
+    x_t = tuple(_bands(x[part, parts[a ^ x_shift]].T) for a, part in enumerate(parts))
+    x_conj = tuple(_bands(x[parts[c ^ x_shift], part].conj().astype(complex))
+                   for c, part in enumerate(parts))
+    bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
+    return parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound
 
 
 def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
@@ -322,37 +392,20 @@ def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
     t flipping every kick, and a kick is four real quarter-size GEMMs:
     d^3/4 flops.  The kept rotation blocks are strided slices of the sector
     blocks, each checked orthogonal, which holds iff the dropped blocks
-    vanish.  Otherwise there is one part and one block.
+    vanish.  Otherwise there is one part and one block.  Everything but
+    the kick comes from _otoc_setup, once per (j, p).
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    _check_count("n_max", n_max)
     kick = _kick_phases(params)
-    dim, j = params.dim, float(params.j)
-    ladder = _ladder_coefficients(j)
-    lam = (-1.0) ** (dim // 2) if dim % 2 else 1j  # Pi on the even sector; -lam on the odd one
-    n_e, n_o = (dim + 1) // 2, dim // 2
-    rotation = _rotation(j, params.p)
-    parts, shift_e, shift_o = _block_map(dim, params.p)
-    r_e, r_o = ([b[rows, parts[a ^ shift]] for a, rows in enumerate(parts)]
-                for b, shift in ((_parity_block(rotation, lam, n_e, n_e), shift_e),
-                                 (_parity_block(rotation, -lam, n_o, n_o), shift_o)))
-    r_e_dag = [r.conj().T.copy() for r in r_e]
-    r_o_t = [r.T.copy() for r in r_o]
-    for r in r_e_dag + r_o_t:  # contiguous copies check faster than strided slices
-        _check_unitary(r)
-    jx, c = np.zeros((n_e, dim)), np.arange(n_e)  # the rows of Jx that _parity_block reads
-    jx[c, c + 1] = ladder[:n_e] / 2.0
-    jx[c[1:], c[:-1]] = ladder[:n_e - 1] / 2.0
-    x = _parity_block(jx, -lam, n_e, n_o)
-    x_shift = len(parts) - 1  # Jx is Z-odd: split, X lives on X[a, a ^ 1]
-    kick_e = [kick[:n_e, None][part] for part in parts]
-    kick_o = [kick[:n_o, None][part] for part in parts]
-    # lists are indexed by the even sector's part a; kick_o and x_conj by the odd one's
-    x_blocks = [x[part, parts[a ^ x_shift]] for a, part in enumerate(parts)]
-    # X is tridiagonal but for one corner entry, and so are these blocks
-    x_conj = [x[parts[c ^ x_shift], part].conj().astype(complex) for c, part in enumerate(parts)]
-    x_dag_kick = [b.conj().T * k_e.T for b, k_e in zip(x_blocks, kick_e)]
-    bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
+    dim, j = params.dim, params.j
+    parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound = _otoc_setup(j, params.p)
+    x_shift = len(parts) - 1
+    kick_e = [kick[:(dim + 1) // 2, None][part] for part in parts]
+    kick_o = [kick[:dim // 2, None][part] for part in parts]
+    # X^dag K_e: conj(X^T), its column c times kick_e[c]
+    x_dag_kick = [(shape, tuple((k, values.conj() * k_e[max(k, 0):][:values.size, 0])
+                                for k, values in diagonals))
+                  for (shape, diagonals), k_e in zip(x_t, kick_e)]
     scale = j ** 4
 
     def total(terms):
@@ -370,7 +423,7 @@ def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
         return _real_trace(c2, bound) / scale, 2.0 * t_e.real / scale
 
     c2, c4 = np.empty(n_max + 1), np.empty(n_max + 1)
-    xt, t = [b.T.astype(complex, order="C") for b in x_blocks], x_shift  # xt[a] = X_n[a, a ^ t]^T
+    xt, t = [_band_dense(b) for b in x_t], x_shift  # xt[a] = X_n[a, a ^ t]^T
     for n in range(n_max + 1):
         z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]  # conj(K_e) X_n
         c2[n], c4[n] = traces([_band_product(x_conj[a ^ t], b) for a, b in enumerate(xt)],
@@ -561,8 +614,8 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     Returns (theta_axis, phi_axis, matrix of shape grid).
     """
     n_theta, n_phi = grid
-    if n_theta < 1 or n_phi < 1 or n_steps < 1:
-        raise DomainError("grid shape and step count must be positive")
+    for name, value in (("n_theta", n_theta), ("n_phi", n_phi), ("n_steps", n_steps)):
+        _check_count(name, value)
     n = params.n_qubits
     _check_blocks(n, blocks)
     u_t = build_spin_system(params).T.copy()

@@ -268,6 +268,14 @@ class TestOutputs:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) == 0.0
 
+    def test_otoc_near_half_integer_spin(self, tmp_path):
+        # j within 1e-9 of 30 runs as j = 30; the raw value failed the
+        # d-matrix column-norm check and exited 4
+        for j, out in (("30.0000000001", "near"), ("30", "exact")):
+            assert run(["otoc", "--j", j, "--steps", 2, "--out", tmp_path / out]) == 0
+        assert ((tmp_path / "near" / "otoc.csv").read_bytes()
+                == (tmp_path / "exact" / "otoc.csv").read_bytes())
+
     def test_grid_axes_in_header(self, tmp_path):
         assert run(["tmi-grid", "--j", 2, "--n-theta", 3, "--n-phi", 4,
                     "--steps", 5, "--out", tmp_path]) == 0

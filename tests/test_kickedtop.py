@@ -134,6 +134,24 @@ class TestSpinSystem:
         with pytest.raises(DomainError):
             KickedTopParams(2.0, -1.0)
 
+    @pytest.mark.parametrize("j", [30.0, 30.5, 300.0])
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10])
+    def test_near_half_integer_spin_is_snapped(self, j, offset):
+        # the kernels used the raw j, and 300 + 1e-10 failed the d-matrix's
+        # 1e-10 column-norm check
+        params = KickedTopParams(j + offset, 6.0)
+        assert params.j == j and type(params.j) is float and params.dim == round(2 * j) + 1
+        exact = KickedTopParams(j, 6.0)
+        assert build_spin_system(params).tobytes() == build_spin_system(exact).tobytes()
+        near, want = otoc_series(params, 3), otoc_series(exact, 3)
+        for name in ("f", "c2", "c4"):
+            assert getattr(near, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_exact_spin_is_stored_as_float(self):
+        for j in (2, np.float64(2.0), 2.0):
+            assert KickedTopParams(j, 1.0) == KickedTopParams(2.0, 1.0)
+            assert type(KickedTopParams(j, 1.0).j) is float
+
     @pytest.mark.parametrize("bad", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
                                      (2.0, math.inf, 1.0), (2.0, math.nan, 1.0),
                                      (2.0, 1.0, math.nan), (2.0, 1.0, -math.inf)])
@@ -425,6 +443,53 @@ class TestOtoc:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             otoc_series(KickedTopParams(5000.0, 1.0), 1)
+
+    @pytest.mark.parametrize("j, p", [(30.0, math.pi / 2), (30.5, math.pi / 2), (30.0, 1.1),
+                                      (300.0, math.pi / 2)])
+    def test_setup_cache_over_a_kick_sweep(self, j, p, monkeypatch):
+        # a sweep over k at fixed (j, p) builds and checks the set-up once,
+        # and a warm set-up gives the bytes of a cold one
+        check, checked = kickedtop._check_unitary, []
+
+        def spy(u):
+            checked.append(u.shape)
+            check(u)
+        monkeypatch.setattr(kickedtop, "_check_unitary", spy)
+        cache = kickedtop._otoc_setup
+        kicks = (2.0, 4.5, 8.0)
+        warm = [otoc_series(KickedTopParams(j, k, p), 6) for k in kicks]
+        # R, then the kept blocks: four quarter blocks at integer j and pi/2
+        per_build = 5 if j % 1 == 0 and p == math.pi / 2 else 3
+        assert len(checked) == per_build
+        assert cache.cache_info()[:2] == (len(kicks) - 1, 1)  # hits, misses
+        for k, series in zip(kicks, warm):
+            cache.cache_clear()
+            cold = otoc_series(KickedTopParams(j, k, p), 6)
+            for name in ("f", "c2", "c4"):
+                assert getattr(series, name).tobytes() == getattr(cold, name).tobytes()
+        assert len(checked) == (1 + len(kicks)) * per_build
+        parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound = cache(j, p)
+        arrays = list(r_e_dag + r_o_t) + [values for _, diagonals in x_t + x_conj
+                                           for _, values in diagonals]
+        assert len(arrays) > 2 * len(parts)  # the blocks and at least one band
+        for values in arrays:
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        # a second (j, p) evicts the first
+        otoc_series(KickedTopParams(2.0, 6.0, p), 2)
+        assert cache.cache_info().currsize == 1
+        misses = cache.cache_info().misses
+        otoc_series(KickedTopParams(j, 6.0, p), 2)
+        assert cache.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_step_counts_must_be_positive_integers(self, bad):
+        params = KickedTopParams(2.0, 6.0)
+        for run in (lambda: otoc_series(params, bad),
+                    lambda: time_averaged_tmi_grid(params, (2, 2), bad),
+                    lambda: timeseries_measures(params, 0.3, 0.4, bad)):
+            with pytest.raises(DomainError, match="must be an integer >= 1"):
+                run()
 
     @pytest.mark.parametrize("j, p", [(300.0, math.pi / 2), (299.5, math.pi / 2)] + [
         (j, p) for j in (0.5, 1.0, 1.5, 2.0, 5.0, 10.5) for p in (math.pi / 2, 1.1)] + [
