@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +88,37 @@ def _check_unitary(u: np.ndarray) -> None:
         raise IntegrityError(f"unitarity defect {defect:.2e} > 1e-10")
 
 
+def _check_jx_eigenvectors(delta: np.ndarray, j: float) -> None:
+    """_check_unitary(delta) for columns meant to be Jx's eigenvectors; O(d^2) when it passes.
+
+    Jx's eigenvalues m are 1 apart, so a column v with |(Jx - m_c) v| <= eps
+    is within asin(e), e = eps/|v|, of the exact eigenvector, and
+    |v_a . v_b| <= |v_a| |v_b| (e_a + e_b + e_a e_b).  With the column
+    norms, that bounds every entry of Delta^T Delta - I.  The residual, plus
+    1e-15 j for its own round-off, is taken in row blocks that stay in
+    cache.  A bound within 1e-10 passes, as _check_unitary would; one above
+    it falls back to the d^3 _check_unitary, which decides.
+    """
+    dim = len(delta)
+    a = _ladder_coefficients(j) / 2.0  # Jx[r, r + 1] = Jx[r + 1, r]
+    m = np.arange(dim) - j
+    res2, norm2 = np.zeros(dim), np.zeros(dim)
+    for lo in range(0, dim, 32):
+        hi = min(lo + 32, dim)
+        up, down = min(hi, dim - 1), max(lo, 1)
+        r = delta[lo:hi] * m
+        r[:up - lo] -= a[lo:up, None] * delta[lo + 1:up + 1]
+        r[down - lo:] -= a[down - 1:hi - 1, None] * delta[down - 1:hi - 1]
+        res2 += np.einsum("rc,rc->c", r, r)
+        norm2 += np.einsum("rc,rc->c", delta[lo:hi], delta[lo:hi])
+    norm = np.sqrt(norm2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero column bounds nothing
+        e = ((np.sqrt(res2) + 1e-15 * j) / norm).max()
+    bound = max(np.abs(norm2 - 1.0).max(), norm.max() ** 2 * (2.0 * e + e * e))
+    if not bound <= 1e-10:  # a NaN falls back too
+        _check_unitary(delta)
+
+
 def _half_pi_d_matrix(j: float) -> np.ndarray:
     """Delta = exp(-i (pi/2) Jy) in the ascending |j, m> basis, by recursion; real.
 
@@ -138,14 +168,18 @@ def _rotation(j: float, p: float) -> np.ndarray:
     Z = diag(exp(-i pi m / 2)) (Feng, Wang, Yang & Jin, PRE 92, 043307
     (2015)).  Z's phases (-i)^(a-b) keep the cos part at even a - b and the
     sin part at odd a - b, so with W = Delta with row a times (-1)^(a // 2),
-    it is three real GEMMs of half the rows each, 1.5 d^3 flops.
+    it is three real GEMMs of half the rows each, 1.5 d^3 flops.  R is
+    checked orthogonal: by _check_jx_eigenvectors at pi/2, in O(d^2),
+    and by _check_unitary after the GEMMs.
     """
     delta = _half_pi_d_matrix(j)
-    if p != math.pi / 2:
-        w, m = delta * (-1.0) ** (np.arange(len(delta)) // 2)[:, None], np.arange(len(delta)) - j
-        for row, col, trig in ((0, 0, np.cos), (1, 1, np.cos), (0, 1, np.sin)):
-            delta[row::2, col::2] = (w[row::2] * trig(p * m)) @ w[col::2].T
-        delta[1::2, 0::2] = -delta[0::2, 1::2].T
+    if p == math.pi / 2:
+        _check_jx_eigenvectors(delta, j)
+        return delta
+    w, m = delta * (-1.0) ** (np.arange(len(delta)) // 2)[:, None], np.arange(len(delta)) - j
+    for row, col, trig in ((0, 0, np.cos), (1, 1, np.cos), (0, 1, np.sin)):
+        delta[row::2, col::2] = (w[row::2] * trig(p * m)) @ w[col::2].T
+    delta[1::2, 0::2] = -delta[0::2, 1::2].T
     _check_unitary(delta)
     return delta
 
@@ -327,19 +361,16 @@ def _band_product(bands, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _otoc_setup(j: float, p: float):
-    """What otoc_series needs of (j, p) alone: built, checked and kept for one (j, p).
+def _build_otoc_setup(j: float, p: float):
+    """What otoc_series needs of (j, p) alone, built and checked.
 
     Returns (parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound):
     _block_map's parts and shifts; the kept rotation blocks R_e^dag and
     R_o^T, each checked orthogonal here, so a cold call runs every check;
     X's blocks transposed, and conjugated, as _bands; and j^2 Tr(Jx^2),
-    the bound on |C2| and |C4|.  Every array is read-only.  A sweep over k
-    at fixed (j, p) pays the O(d^3) rotation and its checks once; the
-    blocks hold d^2/4 doubles at integer j and p = pi/2, d^2/2 at integer
-    j otherwise and d^2 at half-integer j.  _otoc_setup.cache_clear()
-    frees them.
+    the bound on |C2| and |C4|.  Every array is read-only.  The blocks
+    hold d^2/4 doubles at integer j and p = pi/2, d^2/2 at integer j
+    otherwise and d^2 at half-integer j.
     """
     dim = round(2 * j) + 1
     ladder = _ladder_coefficients(j)
@@ -367,6 +398,31 @@ def _otoc_setup(j: float, p: float):
                    for c, part in enumerate(parts))
     bound = j ** 2 * float(np.sum(ladder ** 2)) / 2.0  # j^2 Tr(Jx^2) >= |C2|, |C4|
     return parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound
+
+
+_SETUP = None  # ((j, p), _build_otoc_setup(j, p)) of the latest otoc_series call
+
+
+def _otoc_setup(j: float, p: float):
+    """_build_otoc_setup(j, p), kept for the next call at the same (j, p).
+
+    A sweep over k at fixed (j, p) pays the rotation and its checks once.
+    One set-up is kept, and a miss drops it before building the next, so a
+    change of (j, p) never holds two.  clear_otoc_setup() frees it.
+    """
+    global _SETUP
+    key, setup = _SETUP or (None, None)
+    if key != (j, p):
+        _SETUP = setup = None
+        setup = _build_otoc_setup(j, p)
+        _SETUP = (j, p), setup
+    return setup
+
+
+def clear_otoc_setup() -> None:
+    """Drop the set-up that otoc_series keeps for its latest (j, p)."""
+    global _SETUP
+    _SETUP = None
 
 
 def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:

@@ -12,6 +12,6 @@ def cold_otoc_setup():
     A set-up left warm by an earlier test would skip the checks that a
     monkeypatched kernel must fail, so those tests would depend on order.
     """
-    kickedtop._otoc_setup.cache_clear()
+    kickedtop.clear_otoc_setup()
     yield
-    kickedtop._otoc_setup.cache_clear()
+    kickedtop.clear_otoc_setup()

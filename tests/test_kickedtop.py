@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
 from helpers import (RECURSION_MUTATIONS, angular_momentum_matrices, dense_floquet,
                      half_pi_rotation, parity_bases, real_rotation, sector_blocks,
                      sector_rotation, two_trace_otoc)
+
+def _no_fallback(u):
+    raise AssertionError("the O(d^2) check fell back to the d^3 one")
+
 
 # integer and half-integer spins up to 20, kick strengths and rotation angles
 SPINS = st.integers(1, 40).map(lambda two_j: two_j / 2)
@@ -226,7 +232,7 @@ class TestSpinSystem:
         for p in (math.pi / 2, 1.1, 0.3):
             assert np.abs(_rotation(two_j / 2, p) - sector_rotation(jy, p, True)).max() <= 1e-12
 
-    def test_rotation_at_dim_cap(self):
+    def test_rotation_at_dim_cap(self, monkeypatch):
         # j = 4095, 2j+1 = DIM_CAP - 1: the start row's 2^-j underflows, so
         # its columns are rescaled; Delta^T Delta - I in row blocks of its
         # upper triangle, to hold 67 MB instead of a second 537 MB matrix
@@ -239,6 +245,51 @@ class TestSpinSystem:
             block[np.arange(len(block)), np.arange(len(block))] -= 1.0
             worst = max(worst, np.abs(block).max())
         assert worst <= 1e-10
+        # and _rotation's O(d^2) check passes it without the d^3 fallback
+        monkeypatch.setattr(kickedtop, "_check_unitary", _no_fallback)
+        kickedtop._check_jx_eigenvectors(delta, 4095.0)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 20, 21, 600, 601, 1500, 1501])
+    def test_eigen_residual_passes_the_d_matrix_in_o_d2(self, two_j, monkeypatch):
+        monkeypatch.setattr(kickedtop, "_check_unitary", _no_fallback)
+        kickedtop._check_jx_eigenvectors(kickedtop._half_pi_d_matrix(two_j / 2), two_j / 2)
+
+    @pytest.mark.parametrize("two_j", [20, 21, 600])
+    def test_eigen_residual_check_fails_as_the_unitarity_check(self, two_j):
+        # on perturbed d-matrices the O(d^2) check raises iff _check_unitary
+        # does, with its message; a column swap and a Givens rotation stay
+        # orthogonal and pass by the fallback
+        j = two_j / 2
+        delta = kickedtop._half_pi_d_matrix(j)
+
+        def perturbed():
+            for size in (1e-13, 1e-11, 1e-9, 1e-6):
+                entry = delta.copy()
+                entry[two_j // 2, 1] += size
+                column = delta.copy()
+                column[:, 2] *= 1.0 + size
+                c, s = math.cos(size), math.sin(size)
+                rotated = delta.copy()
+                rotated[:, :2] = delta[:, :2] @ np.array([[c, -s], [s, c]])
+                yield from (entry, column, rotated)
+            flipped = delta.copy()
+            flipped[(two_j + 2) // 2:, 1] *= -1.0
+            nan = delta.copy()
+            nan[0, 0] = np.nan
+            yield from (delta[:, ::-1].copy(), flipped, nan)
+
+        passed = []
+        for u in perturbed():
+            outcomes = []
+            for check in (_check_unitary, lambda u: kickedtop._check_jx_eigenvectors(u, j)):
+                try:
+                    check(u)
+                    outcomes.append(None)
+                except IntegrityError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            passed.append(outcomes[0] is None)
+        assert True in passed and False in passed
 
     @pytest.mark.parametrize("mutation, check", [("start-row", "column norm"),
                                                  ("reflection-sign", "unitarity"),
@@ -449,26 +500,26 @@ class TestOtoc:
     def test_setup_cache_over_a_kick_sweep(self, j, p, monkeypatch):
         # a sweep over k at fixed (j, p) builds and checks the set-up once,
         # and a warm set-up gives the bytes of a cold one
-        check, checked = kickedtop._check_unitary, []
-
-        def spy(u):
-            checked.append(u.shape)
-            check(u)
-        monkeypatch.setattr(kickedtop, "_check_unitary", spy)
-        cache = kickedtop._otoc_setup
+        checked, builds = [], []
+        for name in ("_check_unitary", "_check_jx_eigenvectors", "_build_otoc_setup"):
+            def spy(*args, kernel=getattr(kickedtop, name), name=name):
+                (builds if name == "_build_otoc_setup" else checked).append(name)
+                return kernel(*args)
+            monkeypatch.setattr(kickedtop, name, spy)
         kicks = (2.0, 4.5, 8.0)
         warm = [otoc_series(KickedTopParams(j, k, p), 6) for k in kicks]
-        # R, then the kept blocks: four quarter blocks at integer j and pi/2
-        per_build = 5 if j % 1 == 0 and p == math.pi / 2 else 3
-        assert len(checked) == per_build
-        assert cache.cache_info()[:2] == (len(kicks) - 1, 1)  # hits, misses
+        # R (in O(d^2) at pi/2), then the kept blocks: four quarter blocks
+        # at integer j and pi/2, two sector blocks otherwise
+        per_build = 1 + (4 if j % 1 == 0 and p == math.pi / 2 else 2)
+        assert len(builds) == 1 and len(checked) == per_build
+        assert checked[0] == ("_check_jx_eigenvectors" if p == math.pi / 2 else "_check_unitary")
         for k, series in zip(kicks, warm):
-            cache.cache_clear()
+            kickedtop.clear_otoc_setup()
             cold = otoc_series(KickedTopParams(j, k, p), 6)
             for name in ("f", "c2", "c4"):
                 assert getattr(series, name).tobytes() == getattr(cold, name).tobytes()
-        assert len(checked) == (1 + len(kicks)) * per_build
-        parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound = cache(j, p)
+        assert len(builds) == 1 + len(kicks) and len(checked) == (1 + len(kicks)) * per_build
+        parts, shift_e, shift_o, r_e_dag, r_o_t, x_t, x_conj, bound = kickedtop._otoc_setup(j, p)
         arrays = list(r_e_dag + r_o_t) + [values for _, diagonals in x_t + x_conj
                                            for _, values in diagonals]
         assert len(arrays) > 2 * len(parts)  # the blocks and at least one band
@@ -477,10 +528,25 @@ class TestOtoc:
                 values[0] = 1.0
         # a second (j, p) evicts the first
         otoc_series(KickedTopParams(2.0, 6.0, p), 2)
-        assert cache.cache_info().currsize == 1
-        misses = cache.cache_info().misses
+        assert kickedtop._SETUP[0] == (2.0, p)
         otoc_series(KickedTopParams(j, 6.0, p), 2)
-        assert cache.cache_info().misses == misses + 1
+        assert len(builds) == 3 + len(kicks)
+
+    def test_setup_miss_drops_the_old_setup_first(self, monkeypatch):
+        # while a new (j, p) is built, nothing holds the previous set-up
+        otoc_series(KickedTopParams(30.0, 6.0), 2)
+        old = weakref.ref(kickedtop._otoc_setup(30.0, math.pi / 2)[3][0])
+        rotation, alive = kickedtop._rotation, []
+
+        def spy(j, p):
+            gc.collect()
+            alive.append(old() is not None)
+            return rotation(j, p)
+        monkeypatch.setattr(kickedtop, "_rotation", spy)
+        otoc_series(KickedTopParams(30.5, 6.0), 2)
+        assert alive == [False]
+        kickedtop.clear_otoc_setup()
+        assert kickedtop._SETUP is None
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_step_counts_must_be_positive_integers(self, bad):
