@@ -29,6 +29,18 @@ FULL_EMBED_MAX_QUBITS = 24
 # typical host, so a block's Grams stay in cache between their passes.
 BLOCK_BYTES = 1 << 20
 
+# Largest complex Hermitian matrix that hermitian_eigenvalues reduces to real
+# tridiagonal form before its eigensolve.  On one core, the reduction plus
+# the real solve took 0.43-0.68 of the complex solve's time at 1,227-1,337
+# matrices for n = 2..5, and 0.55-0.94 at 148 matrices for n = 2..4; at 148
+# matrices n = 5 broke even (0.99) and n = 6 lost (1.08).
+TRIDIAGONAL_MAX_DIM = 5
+
+# A reflection column of norm below this counts as zero: the reduction then
+# skips it, which moves the eigenvalues by at most that norm.  Its square is
+# still a normal double, so the squared norms above it are exact to round-off.
+_NEGLIGIBLE_NORM = 1e-150
+
 
 # ---------------------------------------------------------------------------
 # combinatorial weights
@@ -195,6 +207,119 @@ def trace_out_qubit(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# spectra of small Hermitian matrices
+# ---------------------------------------------------------------------------
+
+def hermitian_eigenvalues(h) -> np.ndarray:
+    """Ascending eigenvalues of a batch (..., n, n) of Hermitian matrices.
+
+    The one eigensolver of the package; it reads the lower triangle and the
+    real diagonal, as np.linalg.eigvalsh does.  A complex batch with
+    n <= TRIDIAGONAL_MAX_DIM is first reduced to real symmetric tridiagonal
+    form by n-2 unitary Householder reflections (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 8.3.1; LAPACK zhetd2) and a diagonal phase,
+    which is backward stable, and then solved as a real batch: the real
+    solve costs about half the complex one.  Either way exactly one
+    np.linalg.eigvalsh call is made, on as many matrices of the same size.
+    The reduction computes squared norms, so its entries must stay below
+    about 1e150 in modulus; a NaN or inf entry gives NaN eigenvalues.
+    """
+    h = np.asarray(h)
+    shape, n = h.shape[:-1], h.shape[-1] if h.ndim >= 2 else 0
+    if np.iscomplexobj(h) and h.shape[-2:] == (n, n) and 1 <= n <= TRIDIAGONAL_MAX_DIM:
+        h = _real_tridiagonal(h.reshape(-1, n, n))
+    return np.linalg.eigvalsh(h).reshape(shape)
+
+
+def _real_tridiagonal(h: np.ndarray) -> np.ndarray:
+    """Real symmetric tridiagonal matrices T (b, n, n) with the spectra of h (b, n, n).
+
+    Only T's diagonal and subdiagonal are set.  The work runs batch-last, on
+    a copy a[i, j] = h[:, i, j], so every operation acts on contiguous rows
+    of length b.  Column k is reduced by a Householder reflection while its
+    trailing block has 3 rows or more (_reflect); the last 2 x 2 step needs
+    only T's three entries of it (_last_reflection).  A Hermitian
+    tridiagonal matrix is unitarily similar, by a diagonal phase, to the
+    real one with the moduli of its off-diagonal, which is all T keeps.
+    Sums over matrix indices are Python's sum over rows, one elementwise
+    add after another: numpy's reductions change their order of addition
+    with the batch's length and layout, and with it the last bit.
+    """
+    b, n, _ = h.shape
+    a = np.array(h.transpose(1, 2, 0), dtype=complex, order="C")
+    t = np.zeros((n * n, b))  # T[:, i, j] in row i*n + j, batch last
+    diag, sub = t[::n + 1], t[n::n + 1]
+    flat = a.reshape(n * n, b)
+    diag[...] = flat[::n + 1].real
+    if n > 3:  # _reflect reads whole trailing blocks: make them Hermitian
+        for i in range(1, n - 1):
+            np.conjugate(a[i + 1:, i], out=a[i, i + 1:])
+        flat[n + 1::n + 1].imag = 0.0
+    for k in range(n - 3):
+        sub[k] = _reflect(a[k + 1:, k], a[k + 1:, k + 1:])
+        diag[k + 1] = a[k + 1, k + 1].real
+    if n >= 3:
+        _last_reflection(a[n - 2:, n - 3], a[n - 2:, n - 2:], diag[n - 2:], sub[n - 3:])
+    elif n == 2:
+        sub[0] = np.abs(a[1, 0])
+    return t.T.reshape(b, n, n)
+
+
+def _column_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over axis 0 of a batch-last complex column (m, b)."""
+    sq = sum(x.view(float) ** 2)  # re^2 and im^2, interleaved
+    return np.sqrt(sq[0::2] + sq[1::2])
+
+
+def _reflect(x: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Apply the Householder reflection that maps x (m, b) onto e0 to block (m, m, b).
+
+    H = I - u u^H with u = (x + phase(x0) |x| e0) / sqrt(|x| (|x| + |x0|)),
+    so that |u|^2 = 2 and H x = -phase(x0) |x| e0 (phase(0) = 1).  block, a
+    Hermitian view, becomes H block H by the rank-2 update block - u w^H -
+    w u^H with w = p - (u^H p / 2) u and p = block u, as in zhetd2.  A column
+    of norm below _NEGLIGIBLE_NORM gives |u| < 2 _NEGLIGIBLE_NORM, so that
+    H = I to round-off.  Returns |x|, T's entry.
+    """
+    r = _column_norm(x)
+    small = r < _NEGLIGIBLE_NORM  # False for NaN, which then spreads
+    ax0 = np.abs(x[0])
+    inv = 1.0 / np.sqrt(r * (r + ax0) + small)
+    zero0 = ax0 == 0
+    u = x * inv
+    u[0] = (x[0] + zero0) * ((ax0 + r) * inv / (ax0 + zero0))
+    p = sum(block.swapaxes(0, 1) * u[:, None])
+    half = sum(u.view(float) * p.view(float))  # Re(u^H p), in pairs
+    w = p - u * (0.5 * (half[0::2] + half[1::2]))
+    outer = u[:, None] * w.conj()[None]
+    block -= outer
+    block -= np.conjugate(outer, out=outer).transpose(1, 0, 2)
+    return r
+
+
+def _last_reflection(x: np.ndarray, block: np.ndarray, diag: np.ndarray,
+                     sub: np.ndarray) -> None:
+    """T's last three entries from column x (2, b) and the Hermitian block (2, 2, b).
+
+    With q = x / |x| (e0 when |x| < _NEGLIGIBLE_NORM) and q' = (-conj q1, conj q0):
+    diag = (q^H C q, q'^H C q') and sub = (|x|, |q'^H C q|), read from the
+    lower triangle and real diagonal of C = block.  At q = e0 they are C's
+    own entries, exactly.
+    """
+    r = _column_norm(x)
+    small = r < _NEGLIGIBLE_NORM
+    inv = 1.0 / (r + small)
+    q0, q1 = x[0] * inv + small, x[1] * inv
+    c00, c11, c10 = block[0, 0].real, block[1, 1].real, block[1, 0]
+    w0, w1 = q0.real ** 2 + q0.imag ** 2, q1.real ** 2 + q1.imag ** 2
+    cross = 2.0 * (q1.conj() * c10 * q0).real
+    sub[0] = r
+    sub[1] = np.abs(q0 * q0 * c10 - q1 * q1 * c10.conj() + q0 * q1 * (c11 - c00))
+    diag[0] = c00 * w0 + c11 * w1 + cross
+    diag[1] = c00 * w1 + c11 * w0 - cross
+
+
 def reduced_density_matrix(state: PSState, q: int) -> np.ndarray:
     """Reduced density matrix of a q-qubit block (0 <= q <= N), Dicke basis.
 
@@ -218,7 +343,7 @@ def block_eigenvalues(state: PSState, q: int) -> np.ndarray:
     n = state.n_qubits
     if not (0 <= q <= n):
         raise DomainError(f"block size q={q} outside [0, {n}]")
-    lam = np.linalg.eigvalsh(smaller_gram(state.amplitudes, n, q))
+    lam = hermitian_eigenvalues(smaller_gram(state.amplitudes, n, q))
     return np.concatenate([np.zeros(q + 1 - lam.size), lam])
 
 

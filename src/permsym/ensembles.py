@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, _block_rows, _check_count, log_binomial
+from .core import (PSState, _block_rows, _check_count, hermitian_eigenvalues,
+                   log_binomial)
 from .errors import DomainError
 from .measures import (VON_NEUMANN, EntropyKind, _check_blocks,
                        block_purity_batch, block_spectra_batch, entropy,
@@ -184,7 +185,7 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int | None = None,
         for i in range(count):
             rng = stream(spec.seed, start + i, rng)
             rhos[i] = sample_wishart_rdm(n1, n2, rng)
-        return np.linalg.eigvalsh(rhos)
+        return hermitian_eigenvalues(rhos)
 
     if chunk is None:
         chunk = _block_rows(2 * (n1 - 1))

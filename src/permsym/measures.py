@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSState, block_eigenvalues, smaller_gram, trace_out_qubit
+from .core import PSState, hermitian_eigenvalues, smaller_gram, trace_out_qubit
 from .errors import DomainError, IntegrityError
 
 EIG_CLIP = 1e-12  # eigenvalues below this are treated as exact zeros
@@ -77,13 +77,15 @@ def entropy(rho: np.ndarray, kind: EntropyKind = VON_NEUMANN, check: bool = True
             raise IntegrityError("matrix is not Hermitian within tolerance")
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise IntegrityError(f"trace {np.trace(rho)!r} deviates from 1")
-    lam = np.linalg.eigvalsh(rho)
-    return float(entropy_from_eigenvalues(lam, kind))
+    return float(entropy_from_eigenvalues(hermitian_eigenvalues(rho), kind))
 
 
 def block_entropy(state: PSState, q: int, kind: EntropyKind = VON_NEUMANN) -> float:
-    """Entropy of a q-qubit block (any q in [0, N]; q = 0, N give 0)."""
-    return float(entropy_from_eigenvalues(block_eigenvalues(state, q), kind))
+    """Entropy of a q-qubit block (any q in [0, N]; q = 0, N give 0).
+
+    The one-row batch of block_entropies_batch, so it has the batch's bytes.
+    """
+    return float(block_entropies_batch(state.amplitudes[None], state.n_qubits, (q,), kind)[q][0])
 
 
 def block_spectra_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
@@ -95,7 +97,7 @@ def block_spectra_batch(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.nda
     """
     if q == 0 or q == n_qubits:
         return np.ones(amplitudes.shape[:-1] + (1,))
-    return np.linalg.eigvalsh(smaller_gram(amplitudes, n_qubits, q))
+    return hermitian_eigenvalues(smaller_gram(amplitudes, n_qubits, q))
 
 
 def _folded_sizes(n_qubits: int, qs) -> np.ndarray:
@@ -165,12 +167,13 @@ def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,
 
     Returns {q: entropies} for every distinct q in sizes.  Von Neumann and
     Renyi spectra come from one _walk_down: closed form at s = 1
-    (_qubit_spectrum), eigvalsh at s >= 2, and exactly 0 at q in {0, N}.
+    (_qubit_spectrum), core.hermitian_eigenvalues at s >= 2, and exactly 0
+    at q in {0, N}.
     """
     qs = set(sizes)
     folded = _folded_sizes(n_qubits, qs)
     if kind.tag == "linear":
-        # Linear entropies keep one gather, Gram and eigvalsh per size:
+        # Linear entropies keep one gather, Gram and eigensolve per size:
         # perfbench/test_perfbench.py::test_traced_op_counts_and_self_times pins
         # a linear (1,1,1) op to 3 gathers and 3*64 eigensolves, and only a
         # change to the benchmark may edit perfbench/.  ROADMAP item 2 retires
@@ -180,7 +183,7 @@ def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,
     entropies = {}
     for s, rho in _walk_down(amplitudes, n_qubits, folded):
         lam = (np.ones(rho.shape[:-1]) if s == 0 else
-               _qubit_spectrum(rho) if s == 1 else np.linalg.eigvalsh(rho))
+               _qubit_spectrum(rho) if s == 1 else hermitian_eigenvalues(rho))
         entropies[s] = entropy_from_eigenvalues(lam, kind)
     return {q: entropies[s] for q, s in zip(qs, folded.tolist())}
 

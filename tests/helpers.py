@@ -32,6 +32,13 @@ def gathered_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.n
     return table * amplitudes[..., idx]
 
 
+def complex_eigenvalues(h) -> np.ndarray:
+    """Ascending eigenvalues by LAPACK's complex Hermitian solver (zheevd):
+    every spectrum's kernel before core.hermitian_eigenvalues reduced small
+    complex blocks to real tridiagonal form, kept as its oracle."""
+    return np.linalg.eigvalsh(h)
+
+
 def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
     """The Dicke state |m_N> as a full 2^N real vector."""
     return embed_to_full(PSState(np.eye(n_qubits + 1)[m])).real

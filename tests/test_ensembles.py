@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from permsym.concentration import functional_samples
-from permsym.core import _block_rows
+from permsym.core import _block_rows, hermitian_eigenvalues
 
 from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entropy_ps,
                                avg_linear_entropy_wishart, avg_purity_ps,
@@ -27,7 +27,7 @@ from permsym.errors import DomainError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch, tmi_blocks,
                               tmi_sum)
 
-from helpers import fit_vn_alpha, mc_purity, mc_tmi, random_unitary
+from helpers import complex_eigenvalues, fit_vn_alpha, mc_purity, mc_tmi, random_unitary
 
 
 class TestSampler:
@@ -123,10 +123,11 @@ class TestSamplerBytes:
         n1, n2, count, seed = 3, 5, 20, 2 ** 63 + 11
         rhos = np.stack([sample_wishart_rdm(n1, n2, fresh_stream(seed, i))
                          for i in range(count)])
-        want = np.linalg.eigvalsh(rhos).ravel()
+        want = hermitian_eigenvalues(rhos).ravel()
         got = ensemble_eigenvalues(EnsembleSpec("wishart", (n1, n2), count, seed),
                                    chunk=chunk, threads=threads)
         assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, complex_eigenvalues(rhos).ravel(), rtol=0, atol=1e-15)
 
 
 class TestWishart:

@@ -206,6 +206,18 @@ class TestTmi:
         with pytest.raises(DomainError):
             tmi(state, 3, 3, 3, VON_NEUMANN)
 
+    def test_single_state_has_the_batch_bytes(self):
+        # block_entropy is the one-row batch: the 2 x 2 closed form at
+        # q in {1, N-1}, the reduced eigensolve elsewhere
+        n = 12
+        amps = random_amplitudes(n, seed=8, count=200)
+        from permsym.measures import block_entropy
+        for kind in (VON_NEUMANN, LINEAR, renyi(0.5), renyi(2.0)):
+            for q in range(n + 1):
+                batch = block_entropies_batch(amps, n, (q,), kind)[q]
+                single = np.array([block_entropy(PSState(a), q, kind) for a in amps])
+                assert single.tobytes() == batch.tobytes(), (kind, q)
+
     def test_pure_state_block_symmetry(self):
         # S(rho_Q) = S(rho_{N-Q}) for every kind
         state = random_ps_state(9, seed=6)
