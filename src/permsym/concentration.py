@@ -21,8 +21,8 @@ import numpy as np
 from .core import _block_rows
 from .ensembles import _check_ps_block, _map_index_chunks, ps_amplitude_batch
 from .errors import DomainError
-from .measures import (LINEAR, VON_NEUMANN, EntropyKind, block_spectra_batch,
-                       entropy_from_eigenvalues, tmi_batch, tmi_blocks)
+from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
+                       block_spectra_batch, entropy_from_eigenvalues, tmi_batch, tmi_blocks)
 
 
 def lipschitz_bound_linear() -> float:
@@ -71,9 +71,10 @@ class ConcentrationRow:
 
 
 def _functional_sampler(n_qubits: int, functional):
-    """Return (value of a batch of amplitude vectors, Lipschitz eta).
+    """Return (value of a batch of amplitude vectors, Lipschitz eta, s).
 
-    functional is one of ("vn", q), ("linear", q) or ("tmi", (q1, q2, q3), kind).
+    functional is one of ("vn", q), ("linear", q) or ("tmi", (q1, q2, q3), kind);
+    s is the largest folded block size min(q, N-q) that value forms.
     """
     tag = functional[0]
     if tag in ("vn", "linear"):
@@ -82,11 +83,13 @@ def _functional_sampler(n_qubits: int, functional):
         kind = VON_NEUMANN if tag == "vn" else LINEAR
         eta = lipschitz_bound_vn(q) if tag == "vn" else lipschitz_bound_linear()
         return (lambda amps: entropy_from_eigenvalues(
-            block_spectra_batch(amps, n_qubits, q), kind)), eta
+            block_spectra_batch(amps, n_qubits, q), kind)), eta, min(q, n_qubits - q)
     if tag == "tmi":
         sizes, kind = functional[1], functional[2]
-        return (lambda amps: tmi_batch(amps, n_qubits, sizes, kind),
-                lipschitz_bound_tmi(*sizes, kind))
+        eta = lipschitz_bound_tmi(*sizes, kind)
+        _check_blocks(n_qubits, sizes)
+        return (lambda amps: tmi_batch(amps, n_qubits, sizes, kind), eta,
+                int(_folded_sizes(n_qubits, tmi_blocks(*sizes)).max()))
     raise DomainError(f"unknown functional {functional!r}")
 
 
@@ -94,11 +97,12 @@ def functional_samples(n_qubits: int, functional, samples: int, seed: int,
                        chunk: int | None = None, threads: int = 1) -> np.ndarray:
     """Per-sample values of the functional over random PS states.
 
-    chunk=None takes core._block_rows(n_qubits) samples per block.
+    chunk=None takes core._block_rows(n_qubits, s) samples per block, with s
+    the largest folded block size the functional forms.
     """
-    value, _ = _functional_sampler(n_qubits, functional)
+    value, _, s = _functional_sampler(n_qubits, functional)
     if chunk is None:
-        chunk = _block_rows(n_qubits)
+        chunk = _block_rows(n_qubits, s)
     return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
@@ -114,7 +118,7 @@ def empirical_concentration(n_qubits: int, functional, samples: int,
     """
     if samples < 1000:
         raise DomainError("tail estimation needs at least 10^3 samples")
-    _, eta = _functional_sampler(n_qubits, functional)
+    _, eta, _ = _functional_sampler(n_qubits, functional)
     values = functional_samples(n_qubits, functional, samples, seed, chunk, threads)
     dev = np.abs(values - values.mean())
     n_real = 2 * (n_qubits + 1)

@@ -166,14 +166,18 @@ def _check_count(name: str, value) -> None:
         raise DomainError(f"{name} {value!r} must be an integer >= 1")
 
 
-def _block_rows(n_qubits: int) -> int:
-    """Batch rows per block: BLOCK_BYTES over one complex (N//2+1)^2 Gram.
+def _block_rows(n_qubits: int, s: int | None = None) -> int:
+    """Batch rows per block: BLOCK_BYTES over one complex (s+1) x (N-s+1) matrix.
 
-    The half-system Gram is the largest matrix the measures form per state,
-    and no block is narrower than one row: 1,337 rows at N=12, 541 at N=20,
-    148 at N=40 and 6 at N=200.
+    s is the largest folded block size min(q, N-q) that a block forms, and
+    its coefficient matrix is the largest matrix the measures form per state
+    (a Gram is at most its size); s=None takes N//2, which covers every
+    block size.  No block is narrower than one row: 1,337 rows at N=12, 541
+    at N=20, 148 at N=40 and 6 at N=200 by default, and 431 at N=40, s=3.
     """
-    return max(1, BLOCK_BYTES // (16 * (n_qubits // 2 + 1) ** 2))
+    if s is None:
+        s = n_qubits // 2
+    return max(1, BLOCK_BYTES // (16 * (s + 1) * (n_qubits - s + 1)))
 
 
 def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .core import (PSState, _block_rows, _check_count, hermitian_eigenvalues,
                    log_binomial)
 from .errors import DomainError
-from .measures import (VON_NEUMANN, EntropyKind, _check_blocks,
+from .measures import (VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
                        block_purity_batch, block_spectra_batch, entropy,
                        entropy_from_eigenvalues, tmi_batch, tmi_blocks, tmi_sum)
 
@@ -113,13 +113,14 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
 
 
 def _mc_samples(n_qubits: int, samples: int, seed: int, value, chunk: int | None,
-                threads: int) -> np.ndarray:
+                threads: int, s: int | None = None) -> np.ndarray:
     """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`.
 
-    chunk=None takes core._block_rows(n_qubits) samples per block.
+    chunk=None takes core._block_rows(n_qubits, s) samples per block, with s
+    the largest folded block size that value forms.
     """
     if chunk is None:
-        chunk = _block_rows(n_qubits)
+        chunk = _block_rows(n_qubits, s)
     return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
@@ -169,14 +170,15 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int | None = None,
                          threads: int = 1) -> np.ndarray:
     """Pooled unscaled eigenvalues of all sampled reduced density matrices.
 
-    chunk=None sizes blocks by core._block_rows: of N for PS(N, Q), and for
-    Wishart(N1, N2) of N = 2(N1 - 1), whose half-system Gram is N1 x N1.
+    chunk=None sizes blocks by core._block_rows: of N and min(Q, N-Q) for
+    PS(N, Q), and for Wishart(N1, N2) of N = 2(N1 - 1), whose half-system
+    Gram is N1 x N1.
     """
     if spec.kind == "ps":
         n, q = spec.dims
         return _mc_samples(n, spec.sample_count, spec.seed,
                            lambda amps: block_spectra_batch(amps, n, q),
-                           chunk, threads).ravel()
+                           chunk, threads, min(q, n - q)).ravel()
     n1, n2 = spec.dims
 
     def worker(start, count):
@@ -383,14 +385,15 @@ def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
     return _mc_samples(
         n, samples, seed,
         lambda amps: entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind),
-        chunk, threads)
+        chunk, threads, min(q, n - q))
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
                    chunk: int | None = None, threads: int = 1) -> np.ndarray:
     """Per-sample TMI over random PS states."""
+    _check_blocks(n, sizes)
     return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
-                       chunk, threads)
+                       chunk, threads, int(_folded_sizes(n, tmi_blocks(*sizes)).max()))
 
 
 def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
@@ -404,7 +407,7 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
     for q in qs:
         _check_ps_block(n, q)
     values = _mc_samples(n, samples, seed, lambda amps: block_purity_batch(amps, n, qs),
-                         chunk, threads)
+                         chunk, threads, int(_folded_sizes(n, qs).max()))
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 

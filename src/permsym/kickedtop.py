@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import _block_rows, _check_count, coherent_amplitudes, log_binomial
 from .errors import CapacityError, DomainError, IntegrityError
-from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks,
+from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
 
 DIM_CAP = 8192  # cap on 2j+1; O(d^3) work must be a conscious choice
@@ -234,8 +234,8 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
 
 
 def _chunked_block_entropies(traj: np.ndarray, n: int, sizes, kind) -> dict:
-    """block_entropies_batch over blocks of core._block_rows(n) steps."""
-    chunk = _block_rows(n)
+    """block_entropies_batch over blocks of core._block_rows(n, s) steps, s the largest fold."""
+    chunk = _block_rows(n, int(_folded_sizes(n, sizes).max()))
     parts = [block_entropies_batch(traj[s:s + chunk], n, sizes, kind)
              for s in range(0, traj.shape[0], chunk)]
     return {q: np.concatenate([p[q] for p in parts]) for q in sizes}
@@ -351,14 +351,48 @@ def _band_dense(bands) -> np.ndarray:
 def _band_product(bands, b: np.ndarray) -> np.ndarray:
     """block @ b for a block given as _bands' (shape, diagonals).
 
-    One shifted, row-scaled add per diagonal.  A complex block multiplies
-    faster than a real one on float64 views at the OTOC's sizes.
+    The first diagonal is written straight into an uninitialised output and
+    the rows it misses are zeroed; each further diagonal is one shifted,
+    row-scaled add.  A block with no diagonal gives zeros.  A complex block
+    multiplies faster than a real one on float64 views at the OTOC's sizes.
     """
     shape, diagonals = bands
-    out = np.zeros((shape[0], b.shape[1]), dtype=complex)
-    for k, values in diagonals:
-        out[max(-k, 0):][:values.size] += values[:, None] * b[max(k, 0):][:values.size]
+    out = np.empty((shape[0], b.shape[1]), dtype=complex)
+    if not diagonals:
+        out[:] = 0.0
+    for n, (k, values) in enumerate(diagonals):
+        rows = slice(max(-k, 0), max(-k, 0) + values.size)
+        cols = slice(max(k, 0), max(k, 0) + values.size)
+        if n:
+            out[rows] += values[:, None] * b[cols]
+        else:
+            np.multiply(values[:, None], b[cols], out=out[rows])
+            out[:rows.start] = out[rows.stop:] = 0.0
     return out
+
+
+def _band_product_norm2(bands, b: np.ndarray) -> float:
+    """|block @ b|_F^2 for a block given as _bands' (shape, diagonals), not forming it.
+
+    Row i of the product is sum_k d_k[i] b[i + k] over the diagonals d_k, so
+    its squared norm is sum_{k, k'} conj(d_k[i]) d_k'[i] <b[i + k], b[i + k']>.
+    The row products <b[r], b[r + s]>, s = k' - k, are one np.vecdot of two
+    contiguous row slices of b per s, and a pair k < k' counts twice, by its
+    real part: nothing of the product's size is written.  A block with no
+    diagonal gives 0.
+    """
+    _, diagonals = bands
+    gram, total = {}, 0.0  # gram[s][r] = <b[r], b[r + s]>
+    for u, (k, d) in enumerate(diagonals):
+        for k2, d2 in diagonals[u:]:
+            s, o, o2 = k2 - k, max(-k, 0), max(-k2, 0)  # o: the first row diagonal k reaches
+            lo, hi = max(o, o2), min(o + d.size, o2 + d2.size)
+            if hi > lo:
+                if s not in gram:
+                    gram[s] = np.vecdot(b[:len(b) - s], b[s:])
+                term = np.vdot(d[lo - o:hi - o], d2[lo - o2:hi - o2] * gram[s][lo + k:hi + k])
+                total += (2.0 if s else 1.0) * term.real
+    return total
 
 
 def _build_otoc_setup(j: float, p: float):
@@ -439,8 +473,13 @@ def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
     from the left; a kick ends with X_n^T.  With P_e = X_n X^dag and
     P_o = X_n^dag X, C2 = |P_e|_F^2 + |P_o|_F^2 and C4 = 2 Re Tr(P_e^2)
     (see _check_trace_pair).  X has at most two nonzeros per row, so
-    P_e^T = conj(X) X_n^T and P_o^dag = (X^dag K_e)(conj(K_e) X_n) are
-    O(d^2) _band_product calls on contiguous operands.
+    P_e^T = conj(X) X_n^T is an O(d^2) _band_product on a contiguous
+    operand.  P_o^dag = (X^dag K_e) z with z = conj(K_e) X_n, which the kick
+    forms anyway, so |P_o|_F^2 comes from products of z's rows
+    (_band_product_norm2) and P_o is not formed.  Only at the first and last
+    step is it formed, as an O(d^2) _band_product: its Frobenius norm must
+    match the row products to 1e-8 of the bound, and its trace
+    Tr((P_o^dag)^2) must match Tr(P_e^2).
 
     All of it runs block by block over the parts of _block_map.  For
     integer j at p = pi/2 Jx is Z-odd and the rotations keep or swap the Z
@@ -468,23 +507,27 @@ def otoc_series(params: KickedTopParams, n_max: int) -> OtocSeries:
         return sum(terms[1:], terms[0])  # not from int 0, which drops the sign of a zero
 
     def square_trace(blocks, pair):
-        # block a of P_e^T, or of P_o^dag, meets block a ^ pair in Tr(P^2)
-        return total([np.einsum("ij,ji->", b, blocks[a ^ pair]) for a, b in enumerate(blocks)])
-
-    def traces(p_e_t, p_o_dag, pair, check):
-        c2 = total([np.vdot(b, b) for b in p_e_t]) + total([np.vdot(b, b) for b in p_o_dag])
-        t_e = square_trace(p_e_t, pair)
-        if check:  # at the first and last step: it tests the P_o products that C2 reads
-            _check_trace_pair(square_trace(p_o_dag, pair), t_e, bound)
-        return _real_trace(c2, bound) / scale, 2.0 * t_e.real / scale
+        # block a of P_e^T, or of P_o^dag, meets block a ^ pair in Tr(P^2);
+        # two blocks that pair off meet twice, as Tr(B_0 B_1) = Tr(B_1 B_0)
+        if pair:
+            return 2.0 * np.einsum("ij,ji->", blocks[0], blocks[1])
+        return total([np.einsum("ij,ji->", b, b) for b in blocks])
 
     c2, c4 = np.empty(n_max + 1), np.empty(n_max + 1)
     xt, t = [_band_dense(b) for b in x_t], x_shift  # xt[a] = X_n[a, a ^ t]^T
     for n in range(n_max + 1):
         z = [np.multiply(k_e.conj(), b.T, order="C") for k_e, b in zip(kick_e, xt)]  # conj(K_e) X_n
-        c2[n], c4[n] = traces([_band_product(x_conj[a ^ t], b) for a, b in enumerate(xt)],
-                              [_band_product(xd, b) for xd, b in zip(x_dag_kick, z)],
-                              t ^ x_shift, n in (0, n_max))
+        p_e_t = [_band_product(x_conj[a ^ t], b) for a, b in enumerate(xt)]
+        t_e = square_trace(p_e_t, t ^ x_shift)
+        p_o2 = total([_band_product_norm2(xd, b) for xd, b in zip(x_dag_kick, z)])
+        if n in (0, n_max):  # P_o is formed here only, to test what C2 reads of it
+            p_o_dag = [_band_product(xd, b) for xd, b in zip(x_dag_kick, z)]
+            formed = total([np.vdot(b, b) for b in p_o_dag])
+            if not abs(formed - p_o2) <= 1e-8 * bound:  # a NaN fails too
+                raise IntegrityError(f"|P_o|_F^2 = {formed!r} is not {p_o2!r} from row products")
+            _check_trace_pair(square_trace(p_o_dag, t ^ x_shift), t_e, bound)
+        c2[n] = _real_trace(total([np.vdot(b, b) for b in p_e_t]) + p_o2, bound) / scale
+        c4[n] = 2.0 * t_e.real / scale
         if n < n_max:
             kicked = [None] * len(parts)
             for a, b in enumerate(z):

@@ -336,10 +336,18 @@ class TestGather:
             np.testing.assert_allclose(core.smaller_gram(amps, n, q), oracle_gram(amps, n, q),
                                        rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("n,rows", [(0, 65536), (1, 65536), (12, 1337), (20, 541),
+    @pytest.mark.parametrize("n,rows", [(0, 65536), (1, 32768), (12, 1337), (20, 541),
                                         (40, 148), (200, 6), (10 ** 4, 1)])
     def test_block_rows(self, n, rows):
         assert core._block_rows(n) == rows
+        assert core._block_rows(n, n // 2) == rows
+
+    @pytest.mark.parametrize("n,s,rows", [(40, 3, 431), (40, 5, 303), (40, 0, 1598),
+                                          (13, 6, 1170), (200, 1, 163)])
+    def test_block_rows_of_the_largest_fold(self, n, s, rows):
+        # BLOCK_BYTES over the (s+1) x (N-s+1) coefficient matrix of the
+        # largest folded block size
+        assert core._block_rows(n, s) == rows == core.BLOCK_BYTES // (16 * (s + 1) * (n - s + 1))
 
 
 class TestTraceOutQubit:

@@ -349,10 +349,14 @@ class TestShardInvariance:
         assert all(other == sweeps[0] for other in sweeps[1:])
 
     def test_splits_across_several_derived_blocks(self):
-        # 400 samples span three default blocks at N=40 (148 rows) and eleven
+        # 1,000 samples span several default blocks of every call at N=40:
+        # three of 431 rows for the largest fold s=3 of TMI (1, 1, 1), four
+        # of 303 (s=5) and five of 204 (s=9) for the other TMIs, seven of
+        # 148 for the purity sweep and the PS(40, 20) spectrum, and 27
         # Wishart(41, 20) blocks (38 rows, those of N = 80)
-        n, samples, seed = 40, 400, 2 ** 63 + 5
+        n, samples, seed = 40, 1000, 2 ** 63 + 5
         assert _block_rows(n) == 148 and _block_rows(80) == 38
+        assert [_block_rows(n, s) for s in (3, 5, 9)] == [431, 303, 204]
         for fn in (
             lambda kw: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, **kw),
             lambda kw: mc_tmi_samples(n, (2, 3, 4), VON_NEUMANN, samples, seed, **kw),
@@ -366,6 +370,36 @@ class TestShardInvariance:
             want = fn({}).tobytes()
             assert fn({"chunk": 7}).tobytes() == want
             assert fn({"threads": 2}).tobytes() == want
+
+    def test_default_blocks_fit_the_largest_fold(self, monkeypatch):
+        # chunk=None sizes a block by the largest matrix the call forms: the
+        # (s+1) x (N-s+1) coefficients of its largest folded block size s
+        import permsym.concentration as concentration
+        import permsym.ensembles as ensembles
+        map_chunks, chunks = ensembles._map_index_chunks, []
+
+        def spy(total, chunk, threads, worker):
+            chunks.append(chunk)
+            return map_chunks(total, chunk, threads, worker)
+        for module in (ensembles, concentration):
+            monkeypatch.setattr(module, "_map_index_chunks", spy)
+        n = 40
+        for call, s in (
+            (lambda: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), 10, 1), 3),
+            (lambda: functional_samples(n, ("linear", 38), 10, 1), 2),
+            (lambda: mc_tmi_samples(n, (1, 2, 2), LINEAR, 10, 1), 5),
+            (lambda: mc_purity_sweep(n, 10, 1, [1, 3, 36]), 4),
+            (lambda: mc_purity_sweep(n, 10, 1), 20),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("ps", (n, 37), 10, 1)), 3),
+        ):
+            call()
+            assert chunks.pop() == _block_rows(n, s)
+        assert _block_rows(n, 3) == 431
+        with pytest.raises(DomainError, match="exceed"):
+            mc_tmi_samples(6, (3, 3, 1), LINEAR, 10, 1)
+        with pytest.raises(DomainError, match="exceed"):
+            functional_samples(6, ("tmi", (3, 3, 1), LINEAR), 10, 1)
+        assert not chunks
 
     @pytest.mark.parametrize("chunk", [0, -3, 2.5])
     def test_chunk_must_be_a_positive_integer(self, chunk):

@@ -740,6 +740,81 @@ class TestOtoc:
                 _check_trace_pair(t_o, complex(0.5, 0.25), bound)
 
     @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_perturbed_row_product_fails(self, p, monkeypatch):
+        # |P_o|_F^2 from row products is what interior steps add to C2; at the
+        # first and last step it must match the formed P_o
+        norm2 = kickedtop._band_product_norm2
+        monkeypatch.setattr(kickedtop, "_band_product_norm2",
+                            lambda bands, b: norm2(bands, b) * (1.0 + 1e-6))
+        with pytest.raises(IntegrityError, match="row products"):
+            otoc_series(KickedTopParams(20, 6.0, p), 7)
+
+    @pytest.mark.parametrize("j, p", [(20.0, math.pi / 2), (20.0, 1.1), (20.5, math.pi / 2)])
+    def test_p_o_formed_only_at_checked_steps(self, j, p, monkeypatch):
+        # every step forms the P_e blocks; only the first and last step add
+        # the P_o blocks, whose norm the others take from row products
+        band_product, calls = kickedtop._band_product, []
+
+        def spy(bands, b):
+            calls.append(bands)
+            return band_product(bands, b)
+        monkeypatch.setattr(kickedtop, "_band_product", spy)
+        otoc_series(KickedTopParams(j, 6.0, p), 7)
+        parts, *_, x_conj, _ = kickedtop._otoc_setup(j, p)
+        kinds = ["e" if any(bands is x for x in x_conj) else "o" for bands in calls]
+        step, checked = ["e"] * len(parts), ["e"] * len(parts) + ["o"] * len(parts)
+        assert kinds == checked + 6 * step + checked
+
+    @pytest.mark.parametrize("shape", [(5, 5), (5, 4), (4, 5), (151, 150), (150, 151),
+                                       (1, 1), (2, 1), (1, 2), (1, 0), (0, 1)])
+    @pytest.mark.parametrize("ks", [(), (0,), (-1,), (1,), (-1, 0), (0, 1), (-1, 1), (-1, 0, 1)])
+    def test_band_helpers_match_dense_product(self, shape, ks, monkeypatch):
+        # 0 to 3 diagonals, ragged shapes whose diagonals miss the first or
+        # last row, and empty blocks; the output starts as NaN, so a row left
+        # unwritten shows
+        rng = np.random.default_rng(len(ks) * 1000 + shape[0] * 10 + shape[1])
+        block = np.zeros(shape, dtype=complex)
+        for k in ks:
+            i = np.arange(np.diagonal(block, k).size) + max(-k, 0)
+            block[i, i + k] = rng.standard_normal(i.size) + 1j * rng.standard_normal(i.size)
+        bands = kickedtop._bands(block)
+        assert len(bands[1]) == sum(np.diagonal(block, k).size > 0 for k in ks)
+        b = rng.standard_normal((shape[1], 7)) + 1j * rng.standard_normal((shape[1], 7))
+        want = block @ b
+        empty = np.empty
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
+            got = kickedtop._band_product(bands, b)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
+        norm2 = kickedtop._band_product_norm2(bands, b)
+        assert abs(norm2 - np.vdot(want, want).real) <= 1e-13 * max(1.0, np.vdot(want, want).real)
+
+    @pytest.mark.parametrize("j, p", [(1.0, math.pi / 2), (1.0, 1.1), (300.0, math.pi / 2),
+                                      (299.5, math.pi / 2), (30.0, 1.1)])
+    def test_band_helpers_on_the_setup_blocks(self, j, p):
+        # the blocks otoc_series multiplies: at j = 1 and pi/2 one X quarter
+        # block is 1 x 0 with no diagonal, and at d = 601 the even sector's
+        # 151 x 150 blocks have diagonals that miss a row
+        *_, x_t, x_conj, _ = kickedtop._otoc_setup(j, p)
+        rng = np.random.default_rng(7)
+        shapes = set()
+        for bands in x_t + x_conj:
+            shapes.add(bands[0])
+            dense = kickedtop._band_dense(bands)
+            shape = (dense.shape[1], 5)
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = dense @ b
+            assert np.abs(kickedtop._band_product(bands, b) - want).max(initial=0.0) <= 1e-12 * j
+            assert abs(kickedtop._band_product_norm2(bands, b)
+                       - np.vdot(want, want).real) <= 1e-12 * max(1.0, np.vdot(want, want).real)
+        if (j, p) == (1.0, math.pi / 2):
+            assert (1, 0) in shapes and any(not diagonals for _, diagonals in x_t + x_conj)
+        if j == 300.0:
+            assert {(151, 150), (150, 151)} <= shapes
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
     def test_sector_rotation_real_and_orthogonal_for_integer_j(self, p):
         for two_j in range(1, 41):
             for r in sector_rotations(two_j, p):
@@ -814,6 +889,25 @@ class TestTimeseries:
     def test_block_overflow(self):
         with pytest.raises(DomainError):
             timeseries_measures(KickedTopParams(2, 1.0), 1.0, 1.0, 3, (2, 2, 2))
+
+    def test_step_blocks_fit_the_largest_fold(self, monkeypatch):
+        # blocks (1, 1, 1) form folded sizes up to 3: 431 steps per block at
+        # N = 40, so 500 kicks take two blocks, with the bytes of one
+        batch, rows = kickedtop.block_entropies_batch, []
+
+        def spy(traj, *args):
+            rows.append(len(traj))
+            return batch(traj, *args)
+        monkeypatch.setattr(kickedtop, "block_entropies_batch", spy)
+        params = KickedTopParams(20, 6.0)
+        table = timeseries_measures(params, 1.1, 0.3, 500, kinds=(LINEAR,))
+        assert rows == [431, 70]
+        rows.clear()
+        monkeypatch.setattr(kickedtop, "_block_rows", lambda n, s=None: 10 ** 6)
+        whole = timeseries_measures(params, 1.1, 0.3, 500, kinds=(LINEAR,))
+        assert rows == [501]
+        for name, values in table.items():
+            assert values.tobytes() == whole[name].tobytes()
 
 
 class TestGrid:
