@@ -167,13 +167,13 @@ def _exp_tmi_random(p, seed, threads):
     kind = _parse_kind(p["kind"])
     if p["ensemble"] not in ("ps", "wishart", "both"):
         raise DomainError(f"ensemble {p['ensemble']!r} must be one of ps, wishart, both")
+    if p["ensemble"] != "ps" and n > 16:  # before any PS draw
+        raise CapacityError(f"full-space sampling capped at 16 qubits, got {n}")
     rows = []
     if p["ensemble"] in ("ps", "both"):
         vals = mc_tmi_samples(n, blocks, kind, p["samples"], seed, threads=threads)
         rows += [(i, "ps", v) for i, v in enumerate(vals)]
     if p["ensemble"] in ("wishart", "both"):
-        if n > 16:
-            raise CapacityError(f"full-space sampling capped at 16 qubits, got {n}")
         vals = mc_tmi_full_samples(n, blocks, kind, p["samples"], seed + 1)
         rows += [(i, "wishart", v) for i, v in enumerate(vals)]
     return "tmi_random", ("sample", "ensemble", "tmi"), rows

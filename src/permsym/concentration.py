@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_rows
-from .ensembles import _check_ps_block, _map_index_chunks, ps_amplitude_batch
+# ps_amplitude_batch is unused here but pinned by perfbench's tracer test
+# (test_perfbench.py::test_uninstall_restores_every_wrapped_attribute)
+from .ensembles import (_check_ps_block, mc_block_entropy_samples, mc_tmi_samples,
+                        ps_amplitude_batch)
 from .errors import DomainError
-from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
-                       block_spectra_batch, entropy_from_eigenvalues, tmi_batch, tmi_blocks)
+from .measures import LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, tmi_blocks
 
 
 def lipschitz_bound_linear() -> float:
@@ -70,62 +71,52 @@ class ConcentrationRow:
     stderr: float
 
 
-def _functional_sampler(n_qubits: int, functional):
-    """Return (value of a batch of amplitude vectors, Lipschitz eta, s).
+def _functional_eta(n_qubits: int, functional) -> float:
+    """Check the functional on n_qubits and return its Lipschitz constant eta.
 
-    functional is one of ("vn", q), ("linear", q) or ("tmi", (q1, q2, q3), kind);
-    s is the largest folded block size min(q, N-q) that value forms.
+    functional is one of ("vn", q), ("linear", q) or ("tmi", (q1, q2, q3), kind).
     """
     tag = functional[0]
     if tag in ("vn", "linear"):
         q = functional[1]
         _check_ps_block(n_qubits, q)
-        kind = VON_NEUMANN if tag == "vn" else LINEAR
-        eta = lipschitz_bound_vn(q) if tag == "vn" else lipschitz_bound_linear()
-        return (lambda amps: entropy_from_eigenvalues(
-            block_spectra_batch(amps, n_qubits, q), kind)), eta, min(q, n_qubits - q)
+        return lipschitz_bound_vn(q) if tag == "vn" else lipschitz_bound_linear()
     if tag == "tmi":
-        sizes, kind = functional[1], functional[2]
-        eta = lipschitz_bound_tmi(*sizes, kind)
-        _check_blocks(n_qubits, sizes)
-        return (lambda amps: tmi_batch(amps, n_qubits, sizes, kind), eta,
-                int(_folded_sizes(n_qubits, tmi_blocks(*sizes)).max()))
+        eta = lipschitz_bound_tmi(*functional[1], functional[2])
+        _check_blocks(n_qubits, functional[1])
+        return eta
     raise DomainError(f"unknown functional {functional!r}")
 
 
 def functional_samples(n_qubits: int, functional, samples: int, seed: int,
-                       chunk: int | None = None, threads: int = 1) -> np.ndarray:
-    """Per-sample values of the functional over random PS states.
-
-    chunk=None takes core._block_rows(n_qubits, s) samples per block, with s
-    the largest folded block size the functional forms.
-    """
-    value, _, s = _functional_sampler(n_qubits, functional)
-    if chunk is None:
-        chunk = _block_rows(n_qubits, s)
-    return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
-        ps_amplitude_batch(n_qubits, seed, count, start)))
+                       threads: int = 1) -> np.ndarray:
+    """Per-sample values of the functional over random PS states."""
+    _functional_eta(n_qubits, functional)
+    if functional[0] == "tmi":
+        return mc_tmi_samples(n_qubits, functional[1], functional[2], samples, seed, threads)
+    kind = VON_NEUMANN if functional[0] == "vn" else LINEAR
+    return mc_block_entropy_samples(n_qubits, functional[1], kind, samples, seed, threads)
 
 
 def empirical_concentration(n_qubits: int, functional, samples: int,
-                            epsilons, seed: int, chunk: int | None = None,
-                            threads: int = 1) -> list:
+                            epsilons, seed: int, threads: int = 1) -> list:
     """Empirical tails P(|f - mean| >= eps) against the spherical bound.
 
     The reference is the same-run sample mean (an unbiased estimate of
     E[f]); the bound uses n = 2(N+1) real dimensions.  Returns one row
     per epsilon with a binomial standard error on the tail estimate.
+    Every epsilon is checked (by its bound) before any state is drawn.
     """
     if samples < 1000:
         raise DomainError("tail estimation needs at least 10^3 samples")
-    _, eta, _ = _functional_sampler(n_qubits, functional)
-    values = functional_samples(n_qubits, functional, samples, seed, chunk, threads)
-    dev = np.abs(values - values.mean())
+    eta = _functional_eta(n_qubits, functional)
     n_real = 2 * (n_qubits + 1)
+    bounds = [(float(eps), levy_bound(n_real, float(eps), eta)) for eps in epsilons]
+    values = functional_samples(n_qubits, functional, samples, seed, threads)
+    dev = np.abs(values - values.mean())
     rows = []
-    for eps in epsilons:
+    for eps, bound in bounds:
         tail = float(np.mean(dev >= eps))
         stderr = math.sqrt(max(tail * (1.0 - tail), 1.0 / samples) / samples)
-        rows.append(ConcentrationRow(float(eps), tail,
-                                     levy_bound(n_real, float(eps), eta), stderr))
+        rows.append(ConcentrationRow(eps, tail, bound, stderr))
     return rows

@@ -100,7 +100,6 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
     if total < 1:
         raise DomainError(f"sample count {total} must be >= 1")
-    _check_count("chunk", chunk)
     _check_count("threads", threads)
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
@@ -112,16 +111,15 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     return np.concatenate(parts, axis=0)
 
 
-def _mc_samples(n_qubits: int, samples: int, seed: int, value, chunk: int | None,
-                threads: int, s: int | None = None) -> np.ndarray:
+def _mc_samples(n_qubits: int, samples: int, seed: int, value, threads: int,
+                s: int | None = None) -> np.ndarray:
     """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`.
 
-    chunk=None takes core._block_rows(n_qubits, s) samples per block, with s
-    the largest folded block size that value forms.
+    Each block holds core._block_rows(n_qubits, s) samples, with s the
+    largest folded block size that value forms.
     """
-    if chunk is None:
-        chunk = _block_rows(n_qubits, s)
-    return _map_index_chunks(samples, chunk, threads, lambda start, count: value(
+    rows = _block_rows(n_qubits, s)
+    return _map_index_chunks(samples, rows, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
 
@@ -166,19 +164,18 @@ class SpectralHistogram:
     sample_count: int
 
 
-def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int | None = None,
-                         threads: int = 1) -> np.ndarray:
+def ensemble_eigenvalues(spec: EnsembleSpec, threads: int = 1) -> np.ndarray:
     """Pooled unscaled eigenvalues of all sampled reduced density matrices.
 
-    chunk=None sizes blocks by core._block_rows: of N and min(Q, N-Q) for
-    PS(N, Q), and for Wishart(N1, N2) of N = 2(N1 - 1), whose half-system
-    Gram is N1 x N1.
+    Blocks are sized by core._block_rows: of N and min(Q, N-Q) for PS(N, Q),
+    and for Wishart(N1, N2) of N = 2(N1 - 1), whose half-system Gram is
+    N1 x N1.
     """
     if spec.kind == "ps":
         n, q = spec.dims
         return _mc_samples(n, spec.sample_count, spec.seed,
                            lambda amps: block_spectra_batch(amps, n, q),
-                           chunk, threads, min(q, n - q)).ravel()
+                           threads, min(q, n - q)).ravel()
     n1, n2 = spec.dims
 
     def worker(start, count):
@@ -189,17 +186,15 @@ def ensemble_eigenvalues(spec: EnsembleSpec, chunk: int | None = None,
             rhos[i] = sample_wishart_rdm(n1, n2, rng)
         return hermitian_eigenvalues(rhos)
 
-    if chunk is None:
-        chunk = _block_rows(2 * (n1 - 1))
-    return _map_index_chunks(spec.sample_count, chunk, threads, worker).ravel()
+    return _map_index_chunks(spec.sample_count, _block_rows(2 * (n1 - 1)), threads,
+                             worker).ravel()
 
 
-def spectral_histogram(spec: EnsembleSpec, bins: int = 250,
-                       chunk: int | None = None, threads: int = 1) -> SpectralHistogram:
+def spectral_histogram(spec: EnsembleSpec, bins: int = 250, threads: int = 1) -> SpectralHistogram:
     """Histogram of eigenvalues scaled by the subsystem dimension, area 1."""
     if bins < 10:
         raise DomainError(f"bins={bins} must be >= 10")
-    scaled = ensemble_eigenvalues(spec, chunk=chunk, threads=threads) * spec.scale
+    scaled = ensemble_eigenvalues(spec, threads=threads) * spec.scale
     densities, edges = np.histogram(scaled, bins=bins, density=True)
     return SpectralHistogram(edges, densities, spec.sample_count)
 
@@ -378,26 +373,24 @@ def _summarize(values: np.ndarray) -> MCResult:
 
 
 def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
-                             seed: int, chunk: int | None = None,
-                             threads: int = 1) -> np.ndarray:
+                             seed: int, threads: int = 1) -> np.ndarray:
     """Per-sample block entropy over random PS states."""
     _check_ps_block(n, q)
     return _mc_samples(
         n, samples, seed,
         lambda amps: entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind),
-        chunk, threads, min(q, n - q))
+        threads, min(q, n - q))
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
-                   chunk: int | None = None, threads: int = 1) -> np.ndarray:
+                   threads: int = 1) -> np.ndarray:
     """Per-sample TMI over random PS states."""
     _check_blocks(n, sizes)
     return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
-                       chunk, threads, int(_folded_sizes(n, tmi_blocks(*sizes)).max()))
+                       threads, int(_folded_sizes(n, tmi_blocks(*sizes)).max()))
 
 
-def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
-                    chunk: int | None = None, threads: int = 1) -> dict:
+def mc_purity_sweep(n: int, samples: int, seed: int, qs=None, threads: int = 1) -> dict:
     """Per-Q purity statistics over one shared set of sampled states.
 
     Returns {q: MCResult}; all block sizes are evaluated on the same
@@ -407,7 +400,7 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None,
     for q in qs:
         _check_ps_block(n, q)
     values = _mc_samples(n, samples, seed, lambda amps: block_purity_batch(amps, n, qs),
-                         chunk, threads, int(_folded_sizes(n, qs).max()))
+                         threads, int(_folded_sizes(n, qs).max()))
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 
@@ -446,8 +439,8 @@ def tmi_full_state(psi: np.ndarray, n_qubits: int, sizes,
 def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
                         seed: int) -> np.ndarray:
     """Per-sample TMI of Haar-random full 2^N states (Wishart reductions)."""
-    # chunk=1 holds one 2^N-dimensional state in memory at a time
+    # blocks of _block_rows(2^N - 1) rows: one state at a time from N = 9 on
     return _mc_samples(2 ** n_qubits - 1, samples, seed,
-                       lambda batch: [tmi_full_state(batch[0], n_qubits, sizes, kind)],
-                       chunk=1, threads=1)
+                       lambda batch: [tmi_full_state(psi, n_qubits, sizes, kind)
+                                      for psi in batch], 1)
 

@@ -583,20 +583,15 @@ def classical_step(point, k: float, p: float) -> np.ndarray:
 
 def classical_tangent_step(point, tangent, k: float, p: float):
     """Map a point and push its tangent vector through the Jacobian."""
-    point = np.asarray(point, dtype=float)
+    new_point = classical_step(point, k, p)
+    x2, y2, z1 = new_point[..., 0], new_point[..., 1], new_point[..., 2]
     tangent = np.asarray(tangent, dtype=float)
     cp, sp = math.cos(p), math.sin(p)
-    x, y, z = point[..., 0], point[..., 1], point[..., 2]
     ux, uy, uz = tangent[..., 0], tangent[..., 1], tangent[..., 2]
-    x1 = x * cp + z * sp
-    z1 = z * cp - x * sp
     ux1 = ux * cp + uz * sp
     uz1 = uz * cp - ux * sp
     alpha = k * z1
     ca, sa = np.cos(alpha), np.sin(alpha)
-    x2 = x1 * ca - y * sa
-    y2 = x1 * sa + y * ca
-    new_point = np.stack([x2, y2, z1], axis=-1)
     new_tangent = np.stack([
         ux1 * ca - uy * sa - k * y2 * uz1,
         ux1 * sa + uy * ca + k * x2 * uz1,
@@ -624,15 +619,13 @@ def lyapunov_exponent(k: float, p: float, n_transient: int = 200,
     _check_finite(k=k, p=p)
     if n_transient < 0 or n_average < 1 or n_trajectories < 1:
         raise DomainError("iteration counts must be positive")
+    if rng is None:
+        rng = np.random.default_rng(0)
     if initial_points is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
         points = _random_sphere_points(n_trajectories, rng)
     else:
         points = np.atleast_2d(np.asarray(initial_points, dtype=float))
         points = points / np.linalg.norm(points, axis=1, keepdims=True)
-    if rng is None:
-        rng = np.random.default_rng(0)
     tangents = rng.standard_normal(points.shape)
     tangents -= np.sum(tangents * points, axis=1, keepdims=True) * points
     tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)

@@ -122,6 +122,29 @@ class TestExitCodes:
         assert run(["tmi-random", "--n", 20, "--ensemble", "wishart",
                     "--samples", 2, "--out", tmp_path]) == 3
 
+    @pytest.mark.parametrize("args,code,message", [
+        (["tmi-random", "--ensemble", "both", "--n", 17, "--samples", 200],
+         3, "capacity error: full-space sampling capped at 16 qubits, got 17"),
+        (["concentration", "--epsilons", "0.1,-0.1", "--samples", 1000],
+         2, "error: epsilon=-0.1 must be >= 0"),
+        (["concentration", "--epsilons", "nan,0.1", "--samples", 1000],
+         2, "error: epsilon=nan must be >= 0"),
+    ], ids=["tmi-random-both-n17", "concentration-negative-eps", "concentration-nan-eps"])
+    def test_rejected_before_any_draw(self, tmp_path, monkeypatch, capsys, args, code, message):
+        import permsym.concentration as concentration
+        import permsym.ensembles as ensembles
+        draws = []
+
+        def spy(*args, **kwargs):
+            draws.append(args)
+            return sampler(*args, **kwargs)
+        sampler = ensembles.ps_amplitude_batch
+        for module in (ensembles, concentration):
+            monkeypatch.setattr(module, "ps_amplitude_batch", spy)
+        assert run(args + ["--out", tmp_path]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert draws == []
+
     def test_bad_functional(self, tmp_path):
         assert run(["concentration", "--functional", "junk", "--out", tmp_path]) == 2
 

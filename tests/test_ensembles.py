@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import permsym.ensembles as ensembles
 from permsym.concentration import functional_samples
 from permsym.core import _block_rows, hermitian_eigenvalues
 
@@ -78,6 +81,15 @@ def fresh_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=(index << 64) | (seed & (2 ** 64 - 1))))
 
 
+def in_blocks(rows, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every Monte Carlo block held to `rows` samples
+    (None: the default rule, core._block_rows)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(ensembles, "_block_rows", lambda n_qubits, s=None: rows)
+        return fn(*args, **kwargs)
+
+
 def oracle_amplitudes(n, seed, count, start=0):
     out = np.empty((count, n + 1), dtype=complex)
     for i in range(count):
@@ -118,14 +130,14 @@ class TestSamplerBytes:
                          lambda g: g.random(2), lambda g: g.standard_normal(5)):
                 assert draw(rekeyed).tobytes() == draw(fresh).tobytes()
 
-    @pytest.mark.parametrize("chunk,threads", [(7, 1), (7, 2), (512, 1)])
-    def test_wishart_eigenvalues_match_fresh_streams(self, chunk, threads):
+    @pytest.mark.parametrize("rows,threads", [(7, 1), (7, 2), (512, 1)])
+    def test_wishart_eigenvalues_match_fresh_streams(self, rows, threads):
         n1, n2, count, seed = 3, 5, 20, 2 ** 63 + 11
         rhos = np.stack([sample_wishart_rdm(n1, n2, fresh_stream(seed, i))
                          for i in range(count)])
         want = hermitian_eigenvalues(rhos).ravel()
-        got = ensemble_eigenvalues(EnsembleSpec("wishart", (n1, n2), count, seed),
-                                   chunk=chunk, threads=threads)
+        got = in_blocks(rows, ensemble_eigenvalues,
+                        EnsembleSpec("wishart", (n1, n2), count, seed), threads=threads)
         assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(got, complex_eigenvalues(rhos).ravel(), rtol=0, atol=1e-15)
 
@@ -202,7 +214,7 @@ class TestSpectralHistogram:
         spec = EnsembleSpec("ps", (10, 4), 300, 17)
         np.testing.assert_array_equal(
             spectral_histogram(spec, bins=40, threads=1).densities,
-            spectral_histogram(spec, bins=40, chunk=64, threads=2).densities)
+            in_blocks(64, spectral_histogram, spec, bins=40, threads=2).densities)
 
 
 class TestClosedForms:
@@ -330,22 +342,24 @@ class TestMonteCarlo:
 class TestShardInvariance:
     """Monte Carlo results do not depend on how the index range is split."""
 
-    SPLITS = [{}, {"chunk": 1}, {"chunk": 7}, {"threads": 2},
-              {"chunk": 1, "threads": 2}, {"chunk": 7, "threads": 2}]
+    # (rows per block, threads); rows None is the default rule
+    SPLITS = [(None, 1), (1, 1), (7, 1), (None, 2), (1, 2), (7, 2)]
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(st.integers(6, 14), st.integers(1, 30), st.integers(0, 2 ** 63 - 1))
     def test_splits_give_identical_results(self, n, samples, seed):
-        def runs(fn):
-            return [fn(split) for split in self.SPLITS]
+        def runs(fn, *args):
+            return [in_blocks(rows, fn, *args, threads=threads) for rows, threads in self.SPLITS]
 
         for out in (
-            runs(lambda kw: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, **kw)),
-            runs(lambda kw: functional_samples(n, ("vn", 3), samples, seed, **kw)),
+            runs(mc_tmi_samples, n, (1, 2, 2), LINEAR, samples, seed),
+            runs(functional_samples, n, ("vn", 3), samples, seed),
+            runs(functional_samples, n, ("linear", 2), samples, seed),
+            runs(functional_samples, n, ("tmi", (1, 1, 1), LINEAR), samples, seed),
         ):
             for other in out[1:]:
                 assert other.tobytes() == out[0].tobytes()
-        sweeps = runs(lambda kw: mc_purity_sweep(n, samples, seed, [1, 3, n - 2], **kw))
+        sweeps = runs(mc_purity_sweep, n, samples, seed, [1, 3, n - 2])
         assert all(other == sweeps[0] for other in sweeps[1:])
 
     def test_splits_across_several_derived_blocks(self):
@@ -358,31 +372,31 @@ class TestShardInvariance:
         assert _block_rows(n) == 148 and _block_rows(80) == 38
         assert [_block_rows(n, s) for s in (3, 5, 9)] == [431, 303, 204]
         for fn in (
-            lambda kw: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, **kw),
-            lambda kw: mc_tmi_samples(n, (2, 3, 4), VON_NEUMANN, samples, seed, **kw),
-            lambda kw: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), samples, seed, **kw),
-            lambda kw: np.array([(r.mean, r.stderr) for r in
-                                 mc_purity_sweep(n, samples, seed, **kw).values()]),
-            lambda kw: ensemble_eigenvalues(EnsembleSpec("ps", (n, 20), samples, seed), **kw),
-            lambda kw: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), samples, seed),
-                                            **kw),
+            lambda threads: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, threads),
+            lambda threads: mc_tmi_samples(n, (2, 3, 4), VON_NEUMANN, samples, seed, threads),
+            lambda threads: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), samples, seed,
+                                               threads),
+            lambda threads: np.array([(r.mean, r.stderr) for r in
+                                      mc_purity_sweep(n, samples, seed,
+                                                      threads=threads).values()]),
+            lambda threads: ensemble_eigenvalues(EnsembleSpec("ps", (n, 20), samples, seed),
+                                                 threads),
+            lambda threads: ensemble_eigenvalues(
+                EnsembleSpec("wishart", (41, 20), samples, seed), threads),
         ):
-            want = fn({}).tobytes()
-            assert fn({"chunk": 7}).tobytes() == want
-            assert fn({"threads": 2}).tobytes() == want
+            want = fn(1).tobytes()
+            assert in_blocks(7, fn, 1).tobytes() == want
+            assert fn(2).tobytes() == want
 
     def test_default_blocks_fit_the_largest_fold(self, monkeypatch):
-        # chunk=None sizes a block by the largest matrix the call forms: the
+        # a block is sized by the largest matrix the call forms: the
         # (s+1) x (N-s+1) coefficients of its largest folded block size s
-        import permsym.concentration as concentration
-        import permsym.ensembles as ensembles
         map_chunks, chunks = ensembles._map_index_chunks, []
 
         def spy(total, chunk, threads, worker):
             chunks.append(chunk)
             return map_chunks(total, chunk, threads, worker)
-        for module in (ensembles, concentration):
-            monkeypatch.setattr(module, "_map_index_chunks", spy)
+        monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
         n = 40
         for call, s in (
             (lambda: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), 10, 1), 3),
@@ -401,26 +415,45 @@ class TestShardInvariance:
             functional_samples(6, ("tmi", (3, 3, 1), LINEAR), 10, 1)
         assert not chunks
 
-    @pytest.mark.parametrize("chunk", [0, -3, 2.5])
-    def test_chunk_must_be_a_positive_integer(self, chunk):
-        with pytest.raises(DomainError, match="chunk"):
-            mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, chunk=chunk)
-        with pytest.raises(DomainError, match="chunk"):
-            functional_samples(6, ("vn", 2), 10, 1, chunk=chunk)
-        with pytest.raises(DomainError, match="chunk"):
-            ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), chunk=chunk)
-
     @pytest.mark.parametrize("threads", [0, -4, 2.5])
-    def test_threads_must_be_a_positive_integer(self, threads):
-        # before, these ran serially, and 2.5 with several chunks reached
-        # ThreadPoolExecutor(max_workers=2.5)
+    def test_threads_must_be_a_positive_integer(self, threads, monkeypatch):
+        # before, these ran serially, and 2.5 with several blocks reached
+        # ThreadPoolExecutor(max_workers=2.5); 3-row blocks make several
+        monkeypatch.setattr(ensembles, "_block_rows", lambda n_qubits, s=None: 3)
         with pytest.raises(DomainError, match="threads"):
-            mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, chunk=3, threads=threads)
+            mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, threads=threads)
         with pytest.raises(DomainError, match="threads"):
-            functional_samples(6, ("vn", 2), 10, 1, chunk=3, threads=threads)
+            functional_samples(6, ("vn", 2), 10, 1, threads=threads)
         with pytest.raises(DomainError, match="threads"):
-            ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), chunk=3,
-                                 threads=threads)
+            ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), threads=threads)
+
+    def test_block_size_is_not_an_option(self):
+        # every Monte Carlo block is sized by core._block_rows: no function takes
+        # `chunk` but the index map itself, whose parameter names perfbench's
+        # tracer binds, and no module but ensembles maps index chunks
+        params, refs = chunk_parameters_and_map_references()
+        assert params == [("ensembles.py", "_map_index_chunks")]
+        assert refs and {path for path, _ in refs} == {"ensembles.py"}
+
+
+def chunk_parameters_and_map_references():
+    """([(file, function)] of every parameter named `chunk`, [(file, source)] of
+    every reference to _map_index_chunks) in src/permsym."""
+    params, refs = [], []
+    for path in sorted(pathlib.Path(ensembles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                if "chunk" in names:
+                    params.append((path.name, getattr(node, "name", "<lambda>")))
+            elif (isinstance(node, ast.Name) and node.id == "_map_index_chunks"
+                  or isinstance(node, ast.Attribute) and node.attr == "_map_index_chunks"
+                  or isinstance(node, ast.alias) and node.name == "_map_index_chunks"
+                  or isinstance(node, ast.Constant) and node.value == "_map_index_chunks"):
+                refs.append((path.name, ast.unparse(node)))
+    return params, refs
 
 
 class TestWorkingSet:
