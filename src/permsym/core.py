@@ -190,6 +190,11 @@ def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
     a = _block_coefficients(amplitudes, n_qubits, q)
     if 2 * q > n_qubits:
         a = np.swapaxes(a, -1, -2)
+    return _gram(a)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a a^dagger over the last two axes of a batch of matrices."""
     return a @ np.conj(np.swapaxes(a, -1, -2))
 
 
@@ -334,8 +339,7 @@ def reduced_density_matrix(state: PSState, q: int) -> np.ndarray:
     n = state.n_qubits
     if not (0 <= q <= n):
         raise DomainError(f"block size q={q} outside [0, {n}]")
-    a = _block_coefficients(state.amplitudes, n, q)
-    return a @ a.conj().T
+    return _gram(_block_coefficients(state.amplitudes, n, q))
 
 
 def block_eigenvalues(state: PSState, q: int) -> np.ndarray:
@@ -396,7 +400,7 @@ def coherent_state(j: float, theta: float, phi: float) -> PSState:
 
 
 def _qubits_from_spin(j: float) -> int:
-    n = round(2 * j)
+    n = round(2 * j) if math.isfinite(j) else 0
     if n < 1 or abs(2 * j - n) > 1e-9:
         raise DomainError(f"spin j={j} must be a positive half-integer")
     return n

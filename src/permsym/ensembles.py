@@ -5,7 +5,9 @@ unit sphere in C^(N+1): independent standard complex Gaussians divided by
 their norm.  Reduced matrices A A^dagger of such states form the positive
 random-matrix ensemble studied here; trace-normalized Wishart matrices
 G G^dagger / tr(G G^dagger) are the comparison ensemble of unrestricted
-random states.
+random states.  Such a matrix is the reduced state of a Haar vector on
+C^N1 (x) C^N2 (Zyczkowski & Sommers, J. Phys. A 34, 7111 (2001)), so every
+ensemble here is drawn as rows of the one sampler ps_amplitude_batch.
 
 Reproducibility: every Monte Carlo sample i of a run with seed s is drawn
 from its own counter-based Philox stream keyed by (s, i).  Pooled results
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PSState, _block_rows, _check_count, hermitian_eigenvalues,
+from .core import (PSState, _block_rows, _check_count, _gram, hermitian_eigenvalues,
                    log_binomial)
 from .errors import DomainError
 from .measures import (VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
-                       block_purity_batch, block_spectra_batch, entropy,
+                       block_entropies_batch, block_purity_batch, block_spectra_batch,
                        entropy_from_eigenvalues, tmi_batch, tmi_blocks, tmi_sum)
 
 LN2 = math.log(2.0)
@@ -69,12 +71,12 @@ def sample_ps_state(n_qubits: int, rng: np.random.Generator) -> PSState:
 
 
 def sample_wishart_rdm(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
-    """Trace-normalized Wishart density matrix G G^dagger / tr, size n1 x n1."""
+    """Trace-normalized Wishart density matrix G G^dagger / tr, size n1 x n1: the
+    Gram of one normalized Haar row reshaped to n1 x n2 (ensemble_eigenvalues' bytes)."""
     if n1 < 1 or n2 < 1:
         raise DomainError(f"Wishart dimensions ({n1}, {n2}) must be >= 1")
-    g = _complex_normals(rng, n1 * n2).reshape(n1, n2)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    z = _complex_normals(rng, n1 * n2)
+    return _gram((z / np.linalg.norm(z)).reshape(n1, n2))
 
 
 def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -112,15 +114,17 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
 
 
 def _mc_samples(n_qubits: int, samples: int, seed: int, value, threads: int,
-                s: int | None = None) -> np.ndarray:
-    """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`.
-
-    Each block holds core._block_rows(n_qubits, s) samples, with s the
-    largest folded block size that value forms.
-    """
-    rows = _block_rows(n_qubits, s)
+                rows: int) -> np.ndarray:
+    """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`, in
+    blocks of `rows` samples: core._block_rows of the largest matrix value forms."""
     return _map_index_chunks(samples, rows, threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
+
+
+def _gram_rows(n1: int, n2: int) -> int:
+    """Block rows for rows reshaped to n1 x n2 with n1 x n1 Grams:
+    core._block_rows(n1 + max(n1, n2) - 2, n1 - 1), 1 MiB // (16 n1 max(n1, n2))."""
+    return _block_rows(n1 + max(n1, n2) - 2, n1 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +172,18 @@ def ensemble_eigenvalues(spec: EnsembleSpec, threads: int = 1) -> np.ndarray:
     """Pooled unscaled eigenvalues of all sampled reduced density matrices.
 
     Blocks are sized by core._block_rows: of N and min(Q, N-Q) for PS(N, Q),
-    and for Wishart(N1, N2) of N = 2(N1 - 1), whose half-system Gram is
-    N1 x N1.
+    and by _gram_rows(N1, N2) for Wishart(N1, N2), whose samples are the
+    Grams of Haar rows of C^(N1 N2) reshaped to N1 x N2 (sample_wishart_rdm).
     """
     if spec.kind == "ps":
         n, q = spec.dims
         return _mc_samples(n, spec.sample_count, spec.seed,
                            lambda amps: block_spectra_batch(amps, n, q),
-                           threads, min(q, n - q)).ravel()
+                           threads, _block_rows(n, min(q, n - q))).ravel()
     n1, n2 = spec.dims
-
-    def worker(start, count):
-        rhos = np.empty((count, n1, n1), dtype=complex)
-        rng = None
-        for i in range(count):
-            rng = stream(spec.seed, start + i, rng)
-            rhos[i] = sample_wishart_rdm(n1, n2, rng)
-        return hermitian_eigenvalues(rhos)
-
-    return _map_index_chunks(spec.sample_count, _block_rows(2 * (n1 - 1)), threads,
-                             worker).ravel()
+    return _mc_samples(n1 * n2 - 1, spec.sample_count, spec.seed,
+                       lambda rows: hermitian_eigenvalues(_gram(rows.reshape(-1, n1, n2))),
+                       threads, _gram_rows(n1, n2)).ravel()
 
 
 def spectral_histogram(spec: EnsembleSpec, bins: int = 250, threads: int = 1) -> SpectralHistogram:
@@ -376,10 +372,9 @@ def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
                              seed: int, threads: int = 1) -> np.ndarray:
     """Per-sample block entropy over random PS states."""
     _check_ps_block(n, q)
-    return _mc_samples(
-        n, samples, seed,
-        lambda amps: entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind),
-        threads, min(q, n - q))
+    return _mc_samples(n, samples, seed,
+                       lambda amps: block_entropies_batch(amps, n, (q,), kind)[q],
+                       threads, _block_rows(n, min(q, n - q)))
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
@@ -387,7 +382,7 @@ def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
     """Per-sample TMI over random PS states."""
     _check_blocks(n, sizes)
     return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
-                       threads, int(_folded_sizes(n, tmi_blocks(*sizes)).max()))
+                       threads, _block_rows(n, int(_folded_sizes(n, tmi_blocks(*sizes)).max())))
 
 
 def mc_purity_sweep(n: int, samples: int, seed: int, qs=None, threads: int = 1) -> dict:
@@ -400,7 +395,7 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None, threads: int = 1) 
     for q in qs:
         _check_ps_block(n, q)
     values = _mc_samples(n, samples, seed, lambda amps: block_purity_batch(amps, n, qs),
-                         threads, int(_folded_sizes(n, qs).max()))
+                         threads, _block_rows(n, int(_folded_sizes(n, qs).max())))
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 
@@ -413,34 +408,35 @@ def mc_block_entropy(n, q, kind, samples, seed, **kw) -> MCResult:
 # ---------------------------------------------------------------------------
 
 def reduced_density_full(psi: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Reduced density matrix of computational-basis qubits `keep` of a
-    full 2^N pure state (qubit 0 = most significant index bit)."""
+    """Reduced density matrices of computational-basis qubits `keep` of full
+    2^N pure states psi (..., 2^N), qubit 0 = most significant index bit."""
     keep = sorted(keep)
     if any(not 0 <= q < n_qubits for q in keep):
         raise DomainError(f"qubit indices {keep} outside [0, {n_qubits})")
-    tensor = psi.reshape((2,) * n_qubits)
-    rest = [ax for ax in range(n_qubits) if ax not in keep]
-    mat = np.transpose(tensor, keep + rest).reshape(2 ** len(keep), -1)
-    return mat @ mat.conj().T
+    tensor = psi.reshape(psi.shape[:-1] + (2,) * n_qubits)  # qubit q on axis q - N
+    mat = np.moveaxis(tensor, [q - n_qubits for q in keep], range(-n_qubits, len(keep) - n_qubits))
+    return _gram(mat.reshape(psi.shape[:-1] + (2 ** len(keep), -1)))
 
 
 def tmi_full_state(psi: np.ndarray, n_qubits: int, sizes,
-                   kind: EntropyKind = VON_NEUMANN) -> float:
-    """TMI between the first q1, next q2, next q3 qubits of a full 2^N state."""
+                   kind: EntropyKind = VON_NEUMANN):
+    """TMI between the first q1, next q2, next q3 qubits of full 2^N states
+    psi (..., 2^N) -> (...); one state is the one-row case, with its bytes."""
     q1, q2, q3 = sizes
     _check_blocks(n_qubits, sizes)
-    a = list(range(q1))
-    b = list(range(q1, q1 + q2))
-    c = list(range(q1 + q2, q1 + q2 + q3))
-    return tmi_sum([entropy(reduced_density_full(psi, qubits, n_qubits), kind, check=False)
-                    for qubits in tmi_blocks(a, b, c)])
+    qubits = list(range(n_qubits))
+    a, b, c = qubits[:q1], qubits[q1:q1 + q2], qubits[q1 + q2:q1 + q2 + q3]
+    return tmi_sum([entropy_from_eigenvalues(
+        hermitian_eigenvalues(reduced_density_full(psi, qubits, n_qubits)), kind)
+        for qubits in tmi_blocks(a, b, c)])
 
 
 def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
                         seed: int) -> np.ndarray:
-    """Per-sample TMI of Haar-random full 2^N states (Wishart reductions)."""
-    # blocks of _block_rows(2^N - 1) rows: one state at a time from N = 9 on
+    """Per-sample TMI of Haar-random full 2^N states (Wishart reductions), in
+    blocks sized by ABC's 2^k x 2^(N-k) reshape and Gram, k = q1+q2+q3."""
+    _check_blocks(n_qubits, sizes)
+    k = sum(sizes)
     return _mc_samples(2 ** n_qubits - 1, samples, seed,
-                       lambda batch: [tmi_full_state(psi, n_qubits, sizes, kind)
-                                      for psi in batch], 1)
-
+                       lambda psi: tmi_full_state(psi, n_qubits, sizes, kind),
+                       1, _gram_rows(2 ** k, 2 ** (n_qubits - k)))

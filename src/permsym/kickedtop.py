@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_rows, _check_count, coherent_amplitudes, log_binomial
+from .core import _block_rows, _check_count, _qubits_from_spin, coherent_amplitudes, log_binomial
 from .errors import CapacityError, DomainError, IntegrityError
 from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
@@ -47,11 +47,10 @@ class KickedTopParams:
 
     def __post_init__(self):
         _check_finite(j=self.j, k=self.k, p=self.p)
-        if round(2 * self.j) < 1 or abs(2 * self.j - round(2 * self.j)) > 1e-9:
-            raise DomainError(f"j={self.j} must be a positive half-integer")
+        n_qubits = _qubits_from_spin(self.j)
         if self.k < 0:
             raise DomainError(f"kick strength k={self.k} must be >= 0")
-        object.__setattr__(self, "j", round(2 * self.j) / 2)
+        object.__setattr__(self, "j", n_qubits / 2)
 
     @property
     def n_qubits(self) -> int:

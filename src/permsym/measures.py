@@ -63,20 +63,19 @@ def entropy_from_eigenvalues(lam: np.ndarray, kind: EntropyKind):
     raise DomainError(f"unknown entropy kind {kind.tag!r}")
 
 
-def entropy(rho: np.ndarray, kind: EntropyKind = VON_NEUMANN, check: bool = True) -> float:
+def entropy(rho: np.ndarray, kind: EntropyKind = VON_NEUMANN) -> float:
     """Entropy of a density matrix (bits for von Neumann / Renyi).
 
-    With check=True the matrix is validated against the density-matrix
-    invariants (Hermitian to 1e-12, unit trace to 1e-10) before solving.
+    The matrix is validated against the density-matrix invariants
+    (Hermitian to 1e-12, unit trace to 1e-10) before solving.
     """
     rho = np.asarray(rho)
-    if check:
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DomainError("density matrix must be square")
-        if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
-            raise IntegrityError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
-            raise IntegrityError(f"trace {np.trace(rho)!r} deviates from 1")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DomainError("density matrix must be square")
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
+        raise IntegrityError("matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise IntegrityError(f"trace {np.trace(rho)!r} deviates from 1")
     return float(entropy_from_eigenvalues(hermitian_eigenvalues(rho), kind))
 
 

@@ -39,6 +39,15 @@ def complex_eigenvalues(h) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
+def trace_normalized_wishart(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
+    """G G^dagger / tr of an unnormalized complex Gaussian n1 x n2 matrix G, by
+    the kernel ensembles.sample_wishart_rdm ran before it normalized the row
+    first, kept as its oracle."""
+    g = _complex_normals(rng, n1 * n2).reshape(n1, n2)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
     """The Dicke state |m_N> as a full 2^N real vector."""
     return embed_to_full(PSState(np.eye(n_qubits + 1)[m])).real

@@ -627,6 +627,23 @@ class TestCoherentState:
         with pytest.raises(DomainError):
             coherent_state(0.3, 1.0, 1.0)
 
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spin(self, j):
+        # before, nan raised ValueError and +-inf OverflowError from round(2j)
+        with pytest.raises(DomainError, match="half-integer"):
+            coherent_state(j, 0.1, 0.2)
+
+    def test_spin_rule_shared_with_kicked_top(self):
+        # one half-integer rule, core._qubits_from_spin, for both entry points
+        from permsym.kickedtop import KickedTopParams
+        for j in (2.5 + 2e-10, 3 - 2e-10, 0.5):
+            assert coherent_state(j, 0.1, 0.2).n_qubits == KickedTopParams(j, 1.0).n_qubits
+            assert KickedTopParams(j, 1.0).j == round(2 * j) / 2
+        for j in (2.5 + 2e-9, 0.3, 0.0, -1.0):
+            for make in (lambda: coherent_state(j, 0.1, 0.2), lambda: KickedTopParams(j, 1.0)):
+                with pytest.raises(DomainError, match="half-integer"):
+                    make()
+
     @pytest.mark.parametrize("theta, phi", [(math.nan, 0.5), (1.0, math.inf),
                                             (-math.inf, 0.5), (1.0, math.nan)])
     def test_non_finite_angles(self, theta, phi):

@@ -21,16 +21,18 @@ from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entrop
                                avg_tmi_vn_ps, avg_tmi_vn_wishart,
                                avg_tmi_vn_wishart_blocks, avg_vn_entropy_ps,
                                comb_identity_residual, ensemble_eigenvalues,
-                               marchenko_pastur_density, mc_purity_sweep,
-                               mc_tmi_samples, page_entropy,
+                               marchenko_pastur_density, mc_block_entropy_samples,
+                               mc_purity_sweep, mc_tmi_full_samples, mc_tmi_samples,
+                               page_entropy,
                                ps_amplitude_batch, reduced_density_full,
                                sample_ps_state, sample_wishart_rdm,
                                spectral_histogram, stream, tmi_full_state)
 from permsym.errors import DomainError
-from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch, tmi_blocks,
-                              tmi_sum)
+from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch,
+                              entropy_from_eigenvalues, renyi, tmi_blocks, tmi_sum)
 
-from helpers import complex_eigenvalues, fit_vn_alpha, mc_purity, mc_tmi, random_unitary
+from helpers import (complex_eigenvalues, fit_vn_alpha, mc_purity, mc_tmi, random_unitary,
+                     trace_normalized_wishart)
 
 
 class TestSampler:
@@ -140,9 +142,34 @@ class TestSamplerBytes:
                         EnsembleSpec("wishart", (n1, n2), count, seed), threads=threads)
         assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(got, complex_eigenvalues(rhos).ravel(), rtol=0, atol=1e-15)
+        # G G^dagger / tr, the draw before rows were normalized first
+        old = np.stack([trace_normalized_wishart(n1, n2, fresh_stream(seed, i))
+                        for i in range(count)])
+        np.testing.assert_allclose(got, hermitian_eigenvalues(old).ravel(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("dims", [(3, 5), (5, 7), (7, 3), (2, 2), (1, 1), (101, 101)])
+    def test_wishart_batch_is_rows_of_the_ps_sampler(self, dims, rows):
+        # a Wishart(N1, N2) sample is the Gram of PS row i of N1 N2 - 1 qubits
+        # reshaped to N1 x N2, and sample_wishart_rdm is its one-row case
+        (n1, n2), count, seed = dims, 9, 2 ** 63 + 11
+        amps = ps_amplitude_batch(n1 * n2 - 1, seed, count).reshape(count, n1, n2)
+        grams = amps @ np.conj(np.swapaxes(amps, -1, -2))
+        one_row = np.stack([sample_wishart_rdm(n1, n2, fresh_stream(seed, i))
+                            for i in range(count)])
+        assert grams.tobytes() == one_row.tobytes()
+        got = in_blocks(rows, ensemble_eigenvalues, EnsembleSpec("wishart", dims, count, seed))
+        assert got.tobytes() == hermitian_eigenvalues(grams).ravel().tobytes()
 
 
 class TestWishart:
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 5), (5, 7), (7, 3), (101, 101)])
+    def test_matches_trace_normalized_oracle(self, dims):
+        for i in range(20):
+            rho = sample_wishart_rdm(*dims, stream(4, i))
+            want = trace_normalized_wishart(*dims, stream(4, i))
+            np.testing.assert_allclose(rho, want, rtol=0, atol=1e-15)
+
     def test_one_dimensional(self):
         rho = sample_wishart_rdm(1, 5, stream(0, 0))
         np.testing.assert_allclose(rho, [[1.0]], atol=1e-14)
@@ -338,6 +365,22 @@ class TestMonteCarlo:
         alpha = fit_vn_alpha([(60, 30), (80, 40)], samples=300, seed=2)
         assert 0.55 < alpha < 0.8
 
+    @pytest.mark.parametrize("n", [2, 3, 12, 40])
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, LINEAR, renyi(2.0)], ids=lambda k: k.tag)
+    def test_block_entropy_samples_match_per_size_path(self, n, kind):
+        # mc_block_entropy_samples takes block_entropies_batch's entropies; the
+        # per-size spectrum it took before is the oracle: the same bytes but at
+        # q in {1, N-1} for vN and Renyi, whose 2 x 2 spectra are closed-form now
+        count, seed = 300, 2 ** 63 + 5
+        amps = ps_amplitude_batch(n, seed, count)
+        for q in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
+            got = mc_block_entropy_samples(n, q, kind, count, seed)
+            want = entropy_from_eigenvalues(block_spectra_batch(amps, n, q), kind)
+            if kind.tag == "linear" or 2 <= q <= n - 2:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
 
 class TestShardInvariance:
     """Monte Carlo results do not depend on how the index range is split."""
@@ -413,6 +456,33 @@ class TestShardInvariance:
             mc_tmi_samples(6, (3, 3, 1), LINEAR, 10, 1)
         with pytest.raises(DomainError, match="exceed"):
             functional_samples(6, ("tmi", (3, 3, 1), LINEAR), 10, 1)
+        with pytest.raises(DomainError, match="exceed"):
+            mc_tmi_full_samples(6, (3, 3, 1), LINEAR, 10, 1)
+        assert not chunks
+
+    def test_gram_blocks_fit_the_largest_matrix(self, monkeypatch):
+        # rows reshaped to n1 x n2 with n1 x n1 Grams take
+        # _block_rows(n1 + max(n1, n2) - 2, n1 - 1) = 1 MiB // (16 n1 max(n1, n2))
+        # rows: Wishart(n1, n2), and the full-space TMI's ABC block, n1 = 2^k
+        # and n2 = 2^(N-k) with k = q1 + q2 + q3
+        map_chunks, chunks = ensembles._map_index_chunks, []
+
+        def spy(total, chunk, threads, worker):
+            chunks.append(chunk)
+            return map_chunks(total, chunk, threads, worker)
+        monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
+        for call, n1, n2, rows in (
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (101, 101), 2, 1)), 101, 101, 6),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), 2, 1)), 41, 20, 38),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (7, 3), 2, 1)), 7, 3, 1337),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (3, 7), 2, 1)), 3, 7, 3120),
+            (lambda: mc_tmi_full_samples(12, (1, 2, 2), VON_NEUMANN, 2, 1), 32, 128, 16),
+            (lambda: mc_tmi_full_samples(8, (4, 2, 2), VON_NEUMANN, 2, 1), 256, 1, 1),
+            (lambda: mc_tmi_full_samples(14, (1, 1, 1), LINEAR, 2, 1), 8, 2048, 4),
+        ):
+            call()
+            assert chunks.pop() == rows == max(1, 2 ** 20 // (16 * n1 * max(n1, n2)))
+            assert rows == _block_rows(n1 + max(n1, n2) - 2, n1 - 1)
         assert not chunks
 
     @pytest.mark.parametrize("threads", [0, -4, 2.5])
@@ -426,6 +496,27 @@ class TestShardInvariance:
             functional_samples(6, ("vn", 2), 10, 1, threads=threads)
         with pytest.raises(DomainError, match="threads"):
             ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), threads=threads)
+
+    def test_one_sampler_draws_every_ensemble(self):
+        # only ps_amplitude_batch re-keys a generator per sample, and no code
+        # draws Wishart matrices one by one: its ensemble is rows of that sampler
+        rekeys, wishart_calls = [], []
+        for path in sorted(pathlib.Path(ensembles.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "stream" and (len(node.args) >= 3
+                                             or any(k.arg == "rng" for k in node.keywords)):
+                        rekeys.append((path.name, fn.name))
+                    if name == "sample_wishart_rdm":
+                        wishart_calls.append((path.name, fn.name))
+        assert rekeys == [("ensembles.py", "ps_amplitude_batch")]
+        assert wishart_calls == []
 
     def test_block_size_is_not_an_option(self):
         # every Monte Carlo block is sized by core._block_rows: no function takes
@@ -480,6 +571,24 @@ class TestWorkingSet:
 
 
 class TestFullSpace:
+    @pytest.mark.parametrize("n, sizes", [(4, (1, 1, 1)), (8, (1, 2, 2)), (8, (4, 2, 2)),
+                                          (9, (2, 3, 1)), (12, (1, 2, 2))])
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, LINEAR, renyi(2.0)], ids=lambda k: k.tag)
+    def test_batch_matches_rows(self, n, sizes, kind):
+        # leading batch axes give each row's bytes, and the Monte Carlo
+        # estimator is the batch over sampler rows in any blocking
+        amps = ps_amplitude_batch(2 ** n - 1, 3, 6)
+        rows = np.array([tmi_full_state(psi, n, sizes, kind) for psi in amps])
+        assert tmi_full_state(amps, n, sizes, kind).tobytes() == rows.tobytes()
+        stacked = tmi_full_state(amps.reshape(2, 3, -1), n, sizes, kind)
+        assert stacked.shape == (2, 3) and stacked.tobytes() == rows.tobytes()
+        for block in ([0], [n - 1, 1], list(range(n - 1))):
+            one = np.stack([reduced_density_full(psi, block, n) for psi in amps])
+            assert reduced_density_full(amps, block, n).tobytes() == one.tobytes()
+        for blocks in (1, 4, None):
+            got = in_blocks(blocks, mc_tmi_full_samples, n, sizes, kind, 6, 3)
+            assert got.tobytes() == rows.tobytes()
+
     def test_reduction_matches_kron_oracle(self):
         rng = np.random.default_rng(3)
         single = [None] * 4

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import itertools
@@ -84,6 +85,12 @@ def full_space_block_entropy(state, qubits, kind):
 
 
 class TestEntropy:
+    def test_always_validates(self):
+        # entropy has no check= switch: every call checks the matrix
+        assert "check" not in inspect.signature(entropy).parameters
+        with pytest.raises(IntegrityError):
+            entropy(np.eye(2) / 2 + np.diag([1e-6, 0.0]), VON_NEUMANN)
+
     def test_maximally_mixed(self):
         rho = np.eye(4) / 4.0
         assert entropy(rho, VON_NEUMANN) == pytest.approx(2.0)
