@@ -174,7 +174,7 @@ def _exp_tmi_random(p, seed, threads):
         vals = mc_tmi_samples(n, blocks, kind, p["samples"], seed, threads=threads)
         rows += [(i, "ps", v) for i, v in enumerate(vals)]
     if p["ensemble"] in ("wishart", "both"):
-        vals = mc_tmi_full_samples(n, blocks, kind, p["samples"], seed + 1)
+        vals = mc_tmi_full_samples(n, blocks, kind, p["samples"], seed + 1, threads=threads)
         rows += [(i, "wishart", v) for i, v in enumerate(vals)]
     return "tmi_random", ("sample", "ensemble", "tmi"), rows
 

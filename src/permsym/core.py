@@ -187,10 +187,12 @@ def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
     sides share every nonzero eigenvalue and the purity, so spectra and
     purities cost min(q, N-q) + 1 dimensions.
     """
-    a = _block_coefficients(amplitudes, n_qubits, q)
-    if 2 * q > n_qubits:
-        a = np.swapaxes(a, -1, -2)
-    return _gram(a)
+    return _gram(_smaller_side(_block_coefficients(amplitudes, n_qubits, q)))
+
+
+def _smaller_side(a: np.ndarray) -> np.ndarray:
+    """A batch of r x c matrices, transposed when r > c: its Gram is min(r, c) square."""
+    return np.swapaxes(a, -1, -2) if a.shape[-2] > a.shape[-1] else a
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -345,14 +347,18 @@ def reduced_density_matrix(state: PSState, q: int) -> np.ndarray:
 def block_eigenvalues(state: PSState, q: int) -> np.ndarray:
     """Spectrum of the q-qubit reduced density matrix (ascending, length q+1).
 
-    For q > N/2 the eigenvalues are computed from the smaller Gram matrix
-    and padded with exact zeros (the two share all nonzeros).
+    cut_spectrum of the coefficient matrix, the one-state case of a PS ensemble
+    spectrum; a q outside [0, N] raises DomainError (embed_coeff_table).
     """
-    n = state.n_qubits
-    if not (0 <= q <= n):
-        raise DomainError(f"block size q={q} outside [0, {n}]")
-    lam = hermitian_eigenvalues(smaller_gram(state.amplitudes, n, q))
-    return np.concatenate([np.zeros(q + 1 - lam.size), lam])
+    return cut_spectrum(_block_coefficients(state.amplitudes, state.n_qubits, q))
+
+
+def cut_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a a^dagger for a batch (..., r, c) of cut matrices: those
+    of the smaller side's Gram (the same nonzeros), after r - min(r, c) exact zeros."""
+    lam = hermitian_eigenvalues(_gram(_smaller_side(a)))
+    zeros = np.zeros(lam.shape[:-1] + (a.shape[-2] - lam.shape[-1],))
+    return np.concatenate([zeros, lam], axis=-1)
 
 
 def embed_to_full(state: PSState) -> np.ndarray:

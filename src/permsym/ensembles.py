@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PSState, _block_rows, _check_count, _gram, hermitian_eigenvalues,
-                   log_binomial)
+from .core import (PSState, _block_coefficients, _block_rows, _check_count, _gram,
+                   cut_spectrum, hermitian_eigenvalues, log_binomial)
 from .errors import DomainError
 from .measures import (VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
-                       block_entropies_batch, block_purity_batch, block_spectra_batch,
+                       block_entropies_batch, block_purity_batch,
                        entropy_from_eigenvalues, tmi_batch, tmi_blocks, tmi_sum)
 
 LN2 = math.log(2.0)
@@ -57,26 +57,29 @@ def stream(seed: int, index: int = 0,
     return rng
 
 
-def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    z = rng.standard_normal(2 * count)
-    return z[0::2] + 1j * z[1::2]
+def _haar_rows(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unit rows (..., d) of C^d, in place, from normals (..., 2d) as (re, im)."""
+    rows = normals.view(complex)
+    # re.re + im.im per row is np.linalg.norm's own sum, so the bytes match a
+    # row normalised on its own (einsum sums in another order)
+    re, im = rows.real, rows.imag
+    rows /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+    return rows
 
 
 def sample_ps_state(n_qubits: int, rng: np.random.Generator) -> PSState:
     """One random PS state: Haar-uniform Dicke amplitudes in C^(N+1)."""
     if n_qubits < 1:
         raise DomainError(f"n_qubits={n_qubits} must be >= 1")
-    z = _complex_normals(rng, n_qubits + 1)
-    return PSState(z / np.linalg.norm(z))
+    return PSState(_haar_rows(rng.standard_normal(2 * (n_qubits + 1))))
 
 
 def sample_wishart_rdm(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
     """Trace-normalized Wishart density matrix G G^dagger / tr, size n1 x n1: the
-    Gram of one normalized Haar row reshaped to n1 x n2 (ensemble_eigenvalues' bytes)."""
+    Gram of one Haar row reshaped to n1 x n2 (ensemble_eigenvalues' draw)."""
     if n1 < 1 or n2 < 1:
         raise DomainError(f"Wishart dimensions ({n1}, {n2}) must be >= 1")
-    z = _complex_normals(rng, n1 * n2)
-    return _gram((z / np.linalg.norm(z)).reshape(n1, n2))
+    return _gram(_haar_rows(rng.standard_normal(2 * n1 * n2)).reshape(n1, n2))
 
 
 def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -90,12 +93,7 @@ def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> 
     for i, row in enumerate(normals):
         rng = stream(seed, start + i, rng)
         rng.standard_normal(out=row)
-    out = normals.view(complex)
-    # re.re + im.im per row is np.linalg.norm's own sum, so the bytes match a
-    # row normalised on its own (einsum sums in another order)
-    re, im = out.real, out.imag
-    out /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
-    return out
+    return _haar_rows(normals)
 
 
 def _map_index_chunks(total: int, chunk: int, threads: int, worker):
@@ -121,10 +119,9 @@ def _mc_samples(n_qubits: int, samples: int, seed: int, value, threads: int,
         ps_amplitude_batch(n_qubits, seed, count, start)))
 
 
-def _gram_rows(n1: int, n2: int) -> int:
-    """Block rows for rows reshaped to n1 x n2 with n1 x n1 Grams:
-    core._block_rows(n1 + max(n1, n2) - 2, n1 - 1), 1 MiB // (16 n1 max(n1, n2))."""
-    return _block_rows(n1 + max(n1, n2) - 2, n1 - 1)
+def _gram_rows(r: int, c: int) -> int:
+    """Block rows for r x c cuts of each row, whose Grams are no larger: 1 MiB // (16 r c)."""
+    return _block_rows(r + c - 2, r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +168,17 @@ class SpectralHistogram:
 def ensemble_eigenvalues(spec: EnsembleSpec, threads: int = 1) -> np.ndarray:
     """Pooled unscaled eigenvalues of all sampled reduced density matrices.
 
-    Blocks are sized by core._block_rows: of N and min(Q, N-Q) for PS(N, Q),
-    and by _gram_rows(N1, N2) for Wishart(N1, N2), whose samples are the
-    Grams of Haar rows of C^(N1 N2) reshaped to N1 x N2 (sample_wishart_rdm).
+    Each sample is an r x c cut of a Haar row, the (Q+1) x (N-Q+1) coefficient matrix
+    of PS(N, Q) or the N1 x N2 reshape of Wishart(N1, N2) (sample_wishart_rdm), and
+    gives its r eigenvalues by core.cut_spectrum, in blocks of _gram_rows(r, c).
     """
-    if spec.kind == "ps":
-        n, q = spec.dims
-        return _mc_samples(n, spec.sample_count, spec.seed,
-                           lambda amps: block_spectra_batch(amps, n, q),
-                           threads, _block_rows(n, min(q, n - q))).ravel()
-    n1, n2 = spec.dims
-    return _mc_samples(n1 * n2 - 1, spec.sample_count, spec.seed,
-                       lambda rows: hermitian_eigenvalues(_gram(rows.reshape(-1, n1, n2))),
-                       threads, _gram_rows(n1, n2)).ravel()
+    a, b = spec.dims
+    ps = spec.kind == "ps"
+    r, c = (b + 1, a - b + 1) if ps else (a, b)
+    return _mc_samples(a if ps else r * c - 1, spec.sample_count, spec.seed,
+                       lambda rows: cut_spectrum(_block_coefficients(rows, a, b) if ps
+                                                 else rows.reshape(-1, r, c)),
+                       threads, _gram_rows(r, c)).ravel()
 
 
 def spectral_histogram(spec: EnsembleSpec, bins: int = 250, threads: int = 1) -> SpectralHistogram:
@@ -426,17 +421,19 @@ def tmi_full_state(psi: np.ndarray, n_qubits: int, sizes,
     _check_blocks(n_qubits, sizes)
     qubits = list(range(n_qubits))
     a, b, c = qubits[:q1], qubits[q1:q1 + q2], qubits[q1 + q2:q1 + q2 + q3]
+    # a block of more than half the qubits is reduced through its smaller complement
+    sides = [x if 2 * len(x) <= n_qubits else sorted(set(qubits) - set(x))
+             for x in tmi_blocks(a, b, c)]
     return tmi_sum([entropy_from_eigenvalues(
-        hermitian_eigenvalues(reduced_density_full(psi, qubits, n_qubits)), kind)
-        for qubits in tmi_blocks(a, b, c)])
+        hermitian_eigenvalues(reduced_density_full(psi, side, n_qubits)), kind)
+        for side in sides])
 
 
 def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
-                        seed: int) -> np.ndarray:
+                        seed: int, threads: int = 1) -> np.ndarray:
     """Per-sample TMI of Haar-random full 2^N states (Wishart reductions), in
-    blocks sized by ABC's 2^k x 2^(N-k) reshape and Gram, k = q1+q2+q3."""
+    blocks of _gram_rows(1, 2^N): every cut of a state holds its 2^N amplitudes."""
     _check_blocks(n_qubits, sizes)
-    k = sum(sizes)
     return _mc_samples(2 ** n_qubits - 1, samples, seed,
                        lambda psi: tmi_full_state(psi, n_qubits, sizes, kind),
-                       1, _gram_rows(2 ** k, 2 ** (n_qubits - k)))
+                       threads, _gram_rows(1, 2 ** n_qubits))

@@ -7,13 +7,13 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import gammaln
 
-from permsym.core import PSState, _cached_block_arrays, embed_to_full
-from permsym.ensembles import (MCResult, _complex_normals, _summarize,
+from permsym.core import PSState, _cached_block_arrays, embed_to_full, hermitian_eigenvalues
+from permsym.ensembles import (MCResult, _summarize,
                                mc_block_entropy, mc_purity_sweep,
-                               mc_tmi_samples)
+                               mc_tmi_samples, reduced_density_full)
 from permsym.errors import IntegrityError
 import permsym.kickedtop as kickedtop
-from permsym.measures import VON_NEUMANN
+from permsym.measures import VON_NEUMANN, entropy_from_eigenvalues, tmi_blocks, tmi_sum
 
 
 def gammaln_log_binomial(n, k):
@@ -43,9 +43,21 @@ def trace_normalized_wishart(n1: int, n2: int, rng: np.random.Generator) -> np.n
     """G G^dagger / tr of an unnormalized complex Gaussian n1 x n2 matrix G, by
     the kernel ensembles.sample_wishart_rdm ran before it normalized the row
     first, kept as its oracle."""
-    g = _complex_normals(rng, n1 * n2).reshape(n1, n2)
+    g = rng.standard_normal(2 * n1 * n2).view(complex).reshape(n1, n2)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def kept_side_tmi_full(psi, n_qubits: int, sizes, kind) -> np.ndarray:
+    """TMI of full 2^N states psi (..., 2^N) from the Gram of every block's own
+    qubits: the kernel ensembles.tmi_full_state ran before it reduced a block of
+    more than half the qubits through its complement, kept as its oracle."""
+    q1, q2, q3 = sizes
+    qubits = list(range(n_qubits))
+    a, b, c = qubits[:q1], qubits[q1:q1 + q2], qubits[q1 + q2:q1 + q2 + q3]
+    return tmi_sum([entropy_from_eigenvalues(
+        hermitian_eigenvalues(reduced_density_full(psi, x, n_qubits)), kind)
+        for x in tmi_blocks(a, b, c)])
 
 
 def dicke_vector(n_qubits: int, m: int) -> np.ndarray:
@@ -78,7 +90,7 @@ def fit_vn_alpha(pairs, samples: int, seed: int) -> float:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = _complex_normals(rng, dim * dim).reshape(dim, dim)
+    z = rng.standard_normal(2 * dim * dim).view(complex).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 

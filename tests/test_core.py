@@ -292,6 +292,12 @@ class TestReducedDensityMatrix:
             rank_cap = min(q + 1, 12 - q + 1)
             assert np.all(lam[rank_cap:] < 1e-10)
 
+    def test_block_size_outside_the_system(self):
+        state = random_ps_state(6, seed=7)
+        for q in (-1, 7):
+            with pytest.raises(DomainError, match="outside"):
+                block_eigenvalues(state, q)
+
     def test_block_density_edges(self):
         state = random_ps_state(5, seed=6)
         np.testing.assert_allclose(reduced_density_matrix(state, 0), [[1.0]], atol=1e-14)
@@ -498,6 +504,23 @@ class TestHermitianEigenvalues:
                           else (5, 3, n, n), np.dtype(solved))]
         if n > core.TRIDIAGONAL_MAX_DIM or dtype is float:  # solved as given
             assert got.tobytes() == eigvalsh(h).tobytes()
+
+
+class TestCutSpectrum:
+    @pytest.mark.parametrize("batch", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("r, c", [(1, 1), (1, 5), (5, 1), (4, 4), (3, 7), (7, 3),
+                                      (2, 9), (9, 2), (6, 6)])
+    def test_matches_the_full_gram(self, r, c, batch):
+        # the smaller side's spectrum after r - min(r, c) exact zeros: the
+        # eigenvalues of a a^dagger by LAPACK's complex solver on the full Gram
+        rng = np.random.default_rng(r * 10 + c)
+        a = rng.standard_normal(batch + (r, 2 * c)).view(complex)
+        a /= np.sqrt(np.sum(np.abs(a) ** 2, axis=(-1, -2), keepdims=True))
+        got = core.cut_spectrum(a)
+        want = np.linalg.eigvalsh(a @ np.conj(np.swapaxes(a, -1, -2)))
+        assert got.shape == want.shape == batch + (r,) and got.dtype == np.float64
+        assert not got[..., :r - min(r, c)].any()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def eigvalsh_references():

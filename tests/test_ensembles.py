@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import permsym.cli as cli
 import permsym.ensembles as ensembles
 from permsym.concentration import functional_samples
-from permsym.core import _block_rows, hermitian_eigenvalues
+from permsym.core import PSState, _block_rows, block_eigenvalues, hermitian_eigenvalues
 
-from permsym.ensembles import (EnsembleSpec, _complex_normals, avg_linear_entropy_ps,
+from permsym.ensembles import (EnsembleSpec, avg_linear_entropy_ps,
                                avg_linear_entropy_wishart, avg_purity_ps,
                                avg_tmi_linear_ps_111, avg_tmi_linear_ps_mmm,
                                avg_tmi_vn_ps, avg_tmi_vn_wishart,
@@ -31,8 +32,8 @@ from permsym.errors import DomainError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch,
                               entropy_from_eigenvalues, renyi, tmi_blocks, tmi_sum)
 
-from helpers import (complex_eigenvalues, fit_vn_alpha, mc_purity, mc_tmi, random_unitary,
-                     trace_normalized_wishart)
+from helpers import (complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full, mc_purity, mc_tmi,
+                     random_unitary, trace_normalized_wishart)
 
 
 class TestSampler:
@@ -95,7 +96,7 @@ def in_blocks(rows, fn, *args, **kwargs):
 def oracle_amplitudes(n, seed, count, start=0):
     out = np.empty((count, n + 1), dtype=complex)
     for i in range(count):
-        z = _complex_normals(fresh_stream(seed, start + i), n + 1)
+        z = fresh_stream(seed, start + i).standard_normal(2 * (n + 1)).view(complex)
         out[i] = z / np.linalg.norm(z)
     return out
 
@@ -151,7 +152,9 @@ class TestSamplerBytes:
     @pytest.mark.parametrize("dims", [(3, 5), (5, 7), (7, 3), (2, 2), (1, 1), (101, 101)])
     def test_wishart_batch_is_rows_of_the_ps_sampler(self, dims, rows):
         # a Wishart(N1, N2) sample is the Gram of PS row i of N1 N2 - 1 qubits
-        # reshaped to N1 x N2, and sample_wishart_rdm is its one-row case
+        # reshaped to N1 x N2, and sample_wishart_rdm is its one-row case; for
+        # N1 > N2 the spectrum comes from the smaller N2 x N2 Gram, after
+        # N1 - N2 exact zeros
         (n1, n2), count, seed = dims, 9, 2 ** 63 + 11
         amps = ps_amplitude_batch(n1 * n2 - 1, seed, count).reshape(count, n1, n2)
         grams = amps @ np.conj(np.swapaxes(amps, -1, -2))
@@ -159,7 +162,27 @@ class TestSamplerBytes:
                             for i in range(count)])
         assert grams.tobytes() == one_row.tobytes()
         got = in_blocks(rows, ensemble_eigenvalues, EnsembleSpec("wishart", dims, count, seed))
-        assert got.tobytes() == hermitian_eigenvalues(grams).ravel().tobytes()
+        want = hermitian_eigenvalues(grams)
+        if n1 <= n2:
+            assert got.tobytes() == want.ravel().tobytes()
+        else:
+            got = got.reshape(count, n1)
+            assert not got[:, :n1 - n2].any()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [4, None])
+    @pytest.mark.parametrize("n, q", [(12, 10), (40, 30), (12, 6), (41, 7)])
+    def test_ps_spectra_are_block_eigenvalues(self, n, q, rows):
+        # every PS(N, Q) sample gives its Q+1 eigenvalues, the bytes of
+        # block_eigenvalues, with 2Q - N exact zeros beyond N/2 (before, a
+        # block beyond N/2 gave only its N-Q+1 nonzero ones)
+        count, seed = 9, 2 ** 63 + 11
+        got = in_blocks(rows, ensemble_eigenvalues, EnsembleSpec("ps", (n, q), count, seed))
+        want = np.stack([block_eigenvalues(PSState(a), q)
+                         for a in ps_amplitude_batch(n, seed, count)])
+        assert got.size == count * (q + 1) and got.tobytes() == want.tobytes()
+        assert not want[:, :max(0, 2 * q - n)].any()
+        assert np.mean(got) * (q + 1) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestWishart:
@@ -409,10 +432,10 @@ class TestShardInvariance:
         # 1,000 samples span several default blocks of every call at N=40:
         # three of 431 rows for the largest fold s=3 of TMI (1, 1, 1), four
         # of 303 (s=5) and five of 204 (s=9) for the other TMIs, seven of
-        # 148 for the purity sweep and the PS(40, 20) spectrum, and 27
-        # Wishart(41, 20) blocks (38 rows, those of N = 80)
+        # 148 for the purity sweep and the PS(40, 20) spectrum, and 13
+        # Wishart(41, 20) blocks (79 rows, 1 MiB // (16 * 41 * 20))
         n, samples, seed = 40, 1000, 2 ** 63 + 5
-        assert _block_rows(n) == 148 and _block_rows(80) == 38
+        assert _block_rows(n) == 148 and ensembles._gram_rows(41, 20) == 79
         assert [_block_rows(n, s) for s in (3, 5, 9)] == [431, 303, 204]
         for fn in (
             lambda threads: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, threads),
@@ -461,10 +484,10 @@ class TestShardInvariance:
         assert not chunks
 
     def test_gram_blocks_fit_the_largest_matrix(self, monkeypatch):
-        # rows reshaped to n1 x n2 with n1 x n1 Grams take
-        # _block_rows(n1 + max(n1, n2) - 2, n1 - 1) = 1 MiB // (16 n1 max(n1, n2))
-        # rows: Wishart(n1, n2), and the full-space TMI's ABC block, n1 = 2^k
-        # and n2 = 2^(N-k) with k = q1 + q2 + q3
+        # rows cut to n1 x n2, whose Grams are at most min(n1, n2) square, take
+        # _block_rows(n1 + n2 - 2, n1 - 1) = 1 MiB // (16 n1 n2) rows:
+        # Wishart(n1, n2), and the full-space TMI's ABC cut, n1 = 2^k and
+        # n2 = 2^(N-k) with k = q1 + q2 + q3, whose product is 2^N for every k
         map_chunks, chunks = ensembles._map_index_chunks, []
 
         def spy(total, chunk, threads, worker):
@@ -473,16 +496,16 @@ class TestShardInvariance:
         monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
         for call, n1, n2, rows in (
             (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (101, 101), 2, 1)), 101, 101, 6),
-            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), 2, 1)), 41, 20, 38),
-            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (7, 3), 2, 1)), 7, 3, 1337),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), 2, 1)), 41, 20, 79),
+            (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (7, 3), 2, 1)), 7, 3, 3120),
             (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (3, 7), 2, 1)), 3, 7, 3120),
             (lambda: mc_tmi_full_samples(12, (1, 2, 2), VON_NEUMANN, 2, 1), 32, 128, 16),
-            (lambda: mc_tmi_full_samples(8, (4, 2, 2), VON_NEUMANN, 2, 1), 256, 1, 1),
+            (lambda: mc_tmi_full_samples(8, (4, 2, 2), VON_NEUMANN, 2, 1), 256, 1, 256),
             (lambda: mc_tmi_full_samples(14, (1, 1, 1), LINEAR, 2, 1), 8, 2048, 4),
         ):
             call()
-            assert chunks.pop() == rows == max(1, 2 ** 20 // (16 * n1 * max(n1, n2)))
-            assert rows == _block_rows(n1 + max(n1, n2) - 2, n1 - 1)
+            assert chunks.pop() == rows == max(1, 2 ** 20 // (16 * n1 * n2))
+            assert rows == _block_rows(n1 + n2 - 2, n1 - 1)
         assert not chunks
 
     @pytest.mark.parametrize("threads", [0, -4, 2.5])
@@ -517,6 +540,35 @@ class TestShardInvariance:
                         wishart_calls.append((path.name, fn.name))
         assert rekeys == [("ensembles.py", "ps_amplitude_batch")]
         assert wishart_calls == []
+        # every Haar row is normalised by _haar_rows alone, and both ensembles'
+        # spectra take one _mc_samples call and no per-kind spectrum kernel
+        source = pathlib.Path(ensembles.__file__).read_text(encoding="utf-8")
+        calls = [(fn.name, ast.unparse(node.func), [ast.unparse(a) for a in node.args])
+                 for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)]
+        assert "_complex_normals" not in source
+        assert [func for _, func, _ in calls if func.split(".")[-1] == "norm"] == []
+        assert {fn for fn, func, args in calls
+                if func.endswith(".view") and args == ["complex"]} == {"_haar_rows"}
+        assert [func for _, func, _ in calls if func == "block_spectra_batch"] == []
+        spectra = [func for fn, func, _ in calls if fn == "ensemble_eigenvalues"]
+        assert spectra.count("_mc_samples") == 1
+
+    def test_full_space_samples_take_the_thread_count(self, monkeypatch, tmp_path):
+        # tmi-random --ensemble wishart hands --threads to mc_tmi_full_samples,
+        # whose bytes do not depend on it (before, its blocks ran on one thread)
+        map_chunks, seen = ensembles._map_index_chunks, []
+
+        def spy(total, chunk, threads, worker):
+            seen.append(threads)
+            return map_chunks(total, chunk, threads, worker)
+        monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
+        assert cli.main(["tmi-random", "--n", "6", "--blocks", "1,1,1", "--ensemble", "wishart",
+                         "--samples", "40", "--threads", "2", "--out", str(tmp_path)]) == 0
+        assert seen == [2]
+        want = mc_tmi_full_samples(6, (1, 1, 1), VON_NEUMANN, 40, 1)
+        got = in_blocks(7, mc_tmi_full_samples, 6, (1, 1, 1), VON_NEUMANN, 40, 1, threads=2)
+        assert got.tobytes() == want.tobytes()
 
     def test_block_size_is_not_an_option(self):
         # every Monte Carlo block is sized by core._block_rows: no function takes
@@ -610,6 +662,28 @@ class TestFullSpace:
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi = np.kron(psi, v / np.linalg.norm(v))
         assert abs(tmi_full_state(psi, 6, (1, 2, 2), VON_NEUMANN)) < 1e-10
+
+    @pytest.mark.parametrize("n, sizes", [(8, (1, 1, 1)), (12, (1, 2, 2)), (8, (4, 2, 2)),
+                                          (9, (2, 2, 2)), (10, (3, 2, 3))])
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, LINEAR, renyi(2.0)], ids=lambda k: k.tag)
+    def test_blocks_reduce_from_the_smaller_side(self, n, sizes, kind, monkeypatch):
+        # a block of more than half the qubits is reduced through its
+        # complement, so no Gram exceeds 2^(N//2) square; the kept-side
+        # entropies are the oracle, with their bytes where no block is that big
+        amps = ps_amplitude_batch(2 ** n - 1, 5, 4)
+        want = kept_side_tmi_full(amps, n, sizes, kind)
+        reduce, kept = ensembles.reduced_density_full, []
+
+        def spy(psi, keep, n_qubits):
+            kept.append(len(keep))
+            return reduce(psi, keep, n_qubits)
+        monkeypatch.setattr(ensembles, "reduced_density_full", spy)
+        got = tmi_full_state(amps, n, sizes, kind)
+        assert len(kept) == 7 and max(kept) <= n // 2
+        if 2 * sum(sizes) <= n:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_matches_ps_tmi_on_symmetric_state(self):
         # the full-space route and the Dicke-basis route agree on PS states
