@@ -54,12 +54,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(column) -> list:
+    """_fmt of every value; a column of Python floats, ints or strings alone
+    is formatted in one map, with the same text."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map(float.__repr__, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return list(column) if kinds == {str} else list(map(_fmt, column))
+
+
 def _write_rows(path, fmt, header, rows):
+    """Write rows (tuples of Python scalars, "" for an empty cell) as CSV or JSON."""
     if fmt == "csv":
+        columns = [_format_column(column) for column in zip(*rows)]
+        lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write("\n".join(lines) + "\n")
     else:
         records = [{h: (None if v == "" else (float(v) if isinstance(v, (float, np.floating))
                                               else int(v) if isinstance(v, (int, np.integer))
@@ -120,8 +132,8 @@ def _exp_ensemble_spectrum(p, seed, threads):
     dims = (p["n"], p["q"]) if p["kind"] == "ps" else (p["n1"], p["n2"])
     spec = EnsembleSpec(p["kind"], dims, p["samples"], seed)  # rejects an unknown kind
     hist = spectral_histogram(spec, bins=p["bins"], threads=threads)
-    rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], hist.densities[i])
-            for i in range(len(hist.densities))]
+    edges = hist.bin_edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], hist.densities.tolist()))
     return "spectrum", ("x_left", "x_right", "density"), rows
 
 
@@ -172,10 +184,10 @@ def _exp_tmi_random(p, seed, threads):
     rows = []
     if p["ensemble"] in ("ps", "both"):
         vals = mc_tmi_samples(n, blocks, kind, p["samples"], seed, threads=threads)
-        rows += [(i, "ps", v) for i, v in enumerate(vals)]
+        rows += [(i, "ps", v) for i, v in enumerate(vals.tolist())]
     if p["ensemble"] in ("wishart", "both"):
         vals = mc_tmi_full_samples(n, blocks, kind, p["samples"], seed + 1, threads=threads)
-        rows += [(i, "wishart", v) for i, v in enumerate(vals)]
+        rows += [(i, "wishart", v) for i, v in enumerate(vals.tolist())]
     return "tmi_random", ("sample", "ensemble", "tmi"), rows
 
 
@@ -190,13 +202,13 @@ def _exp_timeseries(p, seed, threads):
             table["residual_" + col] = saturation_residuals(
                 table[col], p["residual_reference"])
         header = list(table.keys())
-    rows = list(zip(*[table[h] for h in header]))
+    rows = list(zip(*[table[h].tolist() for h in header]))
     return "timeseries", tuple(header), rows
 
 
 def _exp_otoc(p, seed, threads):
     series = otoc_series(KickedTopParams(p["j"], p["k"], p["p"]), p["steps"])
-    rows = list(zip(series.steps, series.f, series.c2, series.c4))
+    rows = list(zip(*[col.tolist() for col in (series.steps, series.f, series.c2, series.c4)]))
     return "otoc", ("n", "F", "C2", "C4"), rows
 
 
@@ -205,14 +217,14 @@ def _exp_tmi_grid(p, seed, threads):
         KickedTopParams(p["j"], p["k"], p["p"]), (p["n_theta"], p["n_phi"]),
         p["steps"], _parse_blocks(p["blocks"]), _parse_kind(p["kind"]))
     header = ("theta\\phi",) + tuple(_fmt(v) for v in phis)
-    rows = [(thetas[i],) + tuple(grid[i]) for i in range(len(thetas))]
+    rows = [(theta,) + tuple(row) for theta, row in zip(thetas.tolist(), grid.tolist())]
     return "tmi_grid", header, rows
 
 
 def _exp_phase_portrait(p, seed, threads):
     rows = phase_portrait(p["k"], p["p"], p["points"], p["steps"],
                           stream(seed))
-    out = [(r[0], r[1], int(r[2]), int(r[3])) for r in rows]
+    out = [(phi, z, int(i), int(step)) for phi, z, i, step in rows.tolist()]
     return "phase_portrait", ("phi", "Z", "trajectory_id", "step"), out
 
 

@@ -175,8 +175,8 @@ def block_entropies_batch(amplitudes: np.ndarray, n_qubits: int, sizes,
         # Linear entropies keep one gather, Gram and eigensolve per size:
         # perfbench/test_perfbench.py::test_traced_op_counts_and_self_times pins
         # a linear (1,1,1) op to 3 gathers and 3*64 eigensolves, and only a
-        # change to the benchmark may edit perfbench/.  ROADMAP item 2 retires
-        # this branch.
+        # change to the benchmark may edit perfbench/.  ROADMAP item 3 retires
+        # this branch, after item 1's re-pin or item 2's tracer switch.
         return {q: entropy_from_eigenvalues(block_spectra_batch(amplitudes, n_qubits, q), kind)
                 for q in qs}
     entropies = {}

@@ -1,6 +1,7 @@
 """Test-only helpers and oracles: code with no caller in the package itself."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -26,10 +27,44 @@ def gammaln_log_binomial(n, k):
 
 def gathered_coefficients(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
     """Coefficient matrices by the gather core._block_coefficients ran before
-    np.take, kept as its oracle: table * a[..., idx], whose batch axes come
-    out innermost in memory."""
-    table, idx = _cached_block_arrays(n_qubits, q)
-    return table * amplitudes[..., idx]
+    np.take and its window view, kept as its oracle: table * a[..., idx] with
+    idx[m, n] = m + n, whose batch axes come out innermost in memory."""
+    idx = np.add.outer(np.arange(q + 1), np.arange(n_qubits - q + 1))
+    return _cached_block_arrays(n_qubits, q) * amplitudes[..., idx]
+
+
+def matmul_gram(a: np.ndarray) -> np.ndarray:
+    """a a^dagger over the last two axes by one matmul: the kernel of
+    core._gram before its row products for complex batches of at most
+    core.ROW_GRAM_MAX_ROWS rows, kept as their oracle."""
+    return a @ np.conj(np.swapaxes(a, -1, -2))
+
+
+def _value_text(value) -> str:
+    """cli._fmt as the per-value writer had it."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def rowwise_write_rows(path, fmt, header, rows):
+    """The CSV and JSON writer cli._write_rows was before it formatted CSV
+    column by column, one value and one line at a time, kept as its oracle."""
+    if fmt == "csv":
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_value_text(v) for v in row) + "\n")
+    else:
+        records = [{h: (None if v == "" else (float(v) if isinstance(v, (float, np.floating))
+                                              else int(v) if isinstance(v, (int, np.integer))
+                                              else v))
+                    for h, v in zip(header, row)} for row in rows]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
 
 
 def complex_eigenvalues(h) -> np.ndarray:

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 import scipy
 
+import permsym.cli as cli
 from permsym.cli import list_experiments, main, run_experiment
 from permsym.errors import IntegrityError
 
-from helpers import RECURSION_MUTATIONS
+from helpers import RECURSION_MUTATIONS, rowwise_write_rows
 
 
 def run(args):
@@ -327,6 +328,59 @@ class TestOutputs:
         monkeypatch.setenv("PERMSYM_OUTDIR", str(tmp_path / "envout"))
         assert run(["averages", "--n", 5]) == 0
         assert (tmp_path / "envout" / "averages.csv").exists()
+
+
+# One small run of every experiment, for the writer oracle.
+SMALL_RUNS = {
+    "ensemble-spectrum": {"kind": "ps", "n": 6, "q": 4, "samples": 60, "bins": 10},
+    "averages": {"n": 6, "sweep_q": True, "samples": 100},
+    "vn-scaling": {"n_min": 4, "n_max": 6, "samples": 20},
+    "tmi-random": {"n": 6, "blocks": "1,1,1", "ensemble": "both", "samples": 20},
+    "timeseries": {"j": 3.0, "steps": 4, "residual_reference": 0.24},
+    "otoc": {"j": 5.0, "steps": 4},
+    "tmi-grid": {"j": 2.0, "n_theta": 3, "n_phi": 4, "steps": 5},
+    "phase-portrait": {"points": 3, "steps": 4},
+    "lyapunov": {"k": 0.0, "average": 100, "trajectories": 2},
+    "concentration": {"n": 10, "samples": 1000, "epsilons": "0.1,0.2"},
+}
+
+
+class TestWriter:
+    """cli._write_rows against the per-value writer it replaced (helpers.rowwise_write_rows)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_table_matches_the_rowwise_writer(self, tmp_path, fmt):
+        header = ("py_float", "np_float", "py_int", "np_int", "mixed", "text")
+        specials = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 0.1, 1e300]
+        rows = [(x, np.float64(x), i - 3, np.int64(7 - i),
+                 [x, np.float64(x), i, np.int64(i), "", "ps"][i % 6], ["", "ps", "a,b"][i % 3])
+                for i, x in enumerate(specials)]
+        rows.append((2.5, np.float64(-2.5), 0, np.int64(0), "", ""))
+        cli._write_rows(tmp_path / "got", fmt, header, rows)
+        rowwise_write_rows(tmp_path / "want", fmt, header, rows)
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        cli._write_rows(tmp_path / "got", "csv", ("a", "b"), [])
+        assert (tmp_path / "got").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_every_experiment_matches_the_rowwise_writer(self, tmp_path, monkeypatch,
+                                                         name, fmt):
+        assert set(SMALL_RUNS) == set(cli.EXPERIMENTS)
+        handed = []
+        writer = cli._write_rows
+
+        def spy(path, fmt, header, rows):
+            handed.append((header, rows))
+            writer(path, fmt, header, rows)
+        monkeypatch.setattr(cli, "_write_rows", spy)
+        (path,) = run_experiment(name, SMALL_RUNS[name], seed=3, out_dir=str(tmp_path / "out"),
+                                 fmt=fmt)
+        (header, rows), = handed
+        rowwise_write_rows(tmp_path / "want", fmt, header, rows)
+        assert open(path, "rb").read() == (tmp_path / "want").read_bytes()
 
 
 class TestConfigPrecedence:

@@ -19,7 +19,7 @@ from permsym.errors import CapacityError, DomainError
 from permsym.measures import block_purity_batch
 
 from helpers import (angular_momentum_matrices, complex_eigenvalues, dicke_vector,
-                     gammaln_log_binomial, gathered_coefficients)
+                     gammaln_log_binomial, gathered_coefficients, matmul_gram)
 
 
 def random_ps_state(n, seed):
@@ -317,7 +317,7 @@ def oracle_gram(amplitudes, n, q):
     a = gathered_coefficients(amplitudes, n, q)
     if 2 * q > n:
         a = np.swapaxes(a, -1, -2)
-    return a @ np.conj(np.swapaxes(a, -1, -2))
+    return matmul_gram(a)
 
 
 class TestGather:
@@ -335,7 +335,12 @@ class TestGather:
     def test_smaller_gram_matches_oracle(self, n):
         amps = random_amplitudes((64,), n, seed=100 + n)
         for q in range(1, n):
-            assert core.smaller_gram(amps, n, q).tobytes() == oracle_gram(amps, n, q).tobytes()
+            got, want = core.smaller_gram(amps, n, q), oracle_gram(amps, n, q)
+            if got.shape[-1] > core.ROW_GRAM_MAX_ROWS:
+                assert got.tobytes() == want.tobytes()
+            else:  # row products: a versioned change at round-off
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
         # the 1 x 1 Gram sum(|a|^2) at q in {0, N} is a dot product whose
         # summation order follows the operand layout: round-off only
         for q in (0, n):
@@ -354,6 +359,47 @@ class TestGather:
         # BLOCK_BYTES over the (s+1) x (N-s+1) coefficient matrix of the
         # largest folded block size
         assert core._block_rows(n, s) == rows == core.BLOCK_BYTES // (16 * (s + 1) * (n - s + 1))
+
+
+class TestRowGram:
+    """core._gram's row products, against the matmul Gram it replaced."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1337,), (2, 3)])
+    @pytest.mark.parametrize("r", range(1, core.ROW_GRAM_MAX_ROWS + 2))
+    def test_matches_the_matmul_gram(self, r, shape):
+        rng = np.random.default_rng(r)
+        for c in (1, r, 9, 40):
+            a = (rng.standard_normal(shape + (r, c))
+                 + 1j * rng.standard_normal(shape + (r, c))) / math.sqrt(2 * c)
+            got, want = core._gram(a), matmul_gram(a)
+            assert got.shape == shape + (r, r) and got.dtype == complex
+            if r > core.ROW_GRAM_MAX_ROWS:  # past the cutoff: matmul's bytes
+                assert got.tobytes() == want.tobytes()
+                continue
+            scale = max(1.0, float(np.abs(got).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
+            assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+            assert not np.diagonal(got, axis1=-2, axis2=-1).imag.any()
+
+    @pytest.mark.parametrize("r", range(1, core.ROW_GRAM_MAX_ROWS + 1))
+    def test_bytes_ignore_layout_and_batch_size(self, r):
+        rng = np.random.default_rng(10 + r)
+        c = 12
+        wide = rng.standard_normal((1337, c, r)) + 1j * rng.standard_normal((1337, c, r))
+        a = np.swapaxes(wide, -1, -2)  # a transposed view
+        batch = core._gram(a)
+        assert batch.tobytes() == core._gram(np.ascontiguousarray(a)).tobytes()
+        for i in (0, 1, 668, 1336):
+            assert core._gram(a[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+            assert core._gram(a[i]).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("r", range(1, core.ROW_GRAM_MAX_ROWS + 2))
+    def test_nan_amplitude_gives_nan(self, r):
+        a = np.ones((3, r, 5), dtype=complex)
+        a[1, r - 1, 2] = np.nan
+        g = core._gram(a)
+        assert np.isnan(g[1, r - 1]).all() and np.isnan(g[1, :, r - 1]).all()
+        assert not np.isnan(g[[0, 2]]).any()
 
 
 class TestTraceOutQubit:

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import permsym.cli as cli
+import permsym.core as core
 import permsym.ensembles as ensembles
 from permsym.concentration import functional_samples
 from permsym.core import PSState, _block_rows, block_eigenvalues, hermitian_eigenvalues
@@ -32,8 +33,8 @@ from permsym.errors import DomainError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch,
                               entropy_from_eigenvalues, renyi, tmi_blocks, tmi_sum)
 
-from helpers import (complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full, mc_purity, mc_tmi,
-                     random_unitary, trace_normalized_wishart)
+from helpers import (complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full, matmul_gram,
+                     mc_purity, mc_tmi, random_unitary, trace_normalized_wishart)
 
 
 class TestSampler:
@@ -157,10 +158,11 @@ class TestSamplerBytes:
         # N1 - N2 exact zeros
         (n1, n2), count, seed = dims, 9, 2 ** 63 + 11
         amps = ps_amplitude_batch(n1 * n2 - 1, seed, count).reshape(count, n1, n2)
-        grams = amps @ np.conj(np.swapaxes(amps, -1, -2))
+        grams = core._gram(amps)
         one_row = np.stack([sample_wishart_rdm(n1, n2, fresh_stream(seed, i))
                             for i in range(count)])
         assert grams.tobytes() == one_row.tobytes()
+        np.testing.assert_allclose(grams, matmul_gram(amps), rtol=0, atol=1e-15)
         got = in_blocks(rows, ensemble_eigenvalues, EnsembleSpec("wishart", dims, count, seed))
         want = hermitian_eigenvalues(grams)
         if n1 <= n2:

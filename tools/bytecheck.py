@@ -25,6 +25,8 @@ SEED = 11
 THREADS = (1, 2)
 
 # Sample counts span several Monte Carlo blocks, so --threads 2 runs a pool.
+# The last three cover the JSON writer, the empty cells of an analytic-only
+# table and a Wishart cut of at most core.ROW_GRAM_MAX_ROWS rows.
 COMMANDS = [
     "ensemble-spectrum --kind ps --n 12 --q 6 --samples 2000",
     "ensemble-spectrum --kind ps --n 40 --q 20 --samples 1000",
@@ -44,6 +46,9 @@ COMMANDS = [
     "vn-scaling --n-min 20 --n-max 24 --samples 1000",
     "phase-portrait --points 50 --steps 200",
     "lyapunov --transient 100 --average 1000 --trajectories 8",
+    "averages --n 20 --sweep-q --samples 4096 --format json",
+    "averages --n 12 --sweep-q",
+    "ensemble-spectrum --kind wishart --n1 3 --n2 9",
 ]
 
 
