@@ -45,37 +45,16 @@ OUTDIR_ENV = "PERMSYM_OUTDIR"
 KINDS = {"vn": VON_NEUMANN, "lin": LINEAR, "linear": LINEAR}
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain text otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _format_column(column) -> list:
-    """_fmt of every value; a column of Python floats, ints or strings alone
-    is formatted in one map, with the same text."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return list(map(float.__repr__, column))
-    if kinds == {int}:
-        return list(map(int.__repr__, column))
-    return list(column) if kinds == {str} else list(map(_fmt, column))
-
-
 def _write_rows(path, fmt, header, rows):
-    """Write rows (tuples of Python scalars, "" for an empty cell) as CSV or JSON."""
+    """Write rows (tuples of Python scalars, "" for an empty cell) as CSV or JSON: a
+    CSV cell is str(v), a JSON value v itself ("" as null, a numpy scalar as v.item())."""
     if fmt == "csv":
-        columns = [_format_column(column) for column in zip(*rows)]
+        columns = [list(map(str, column)) for column in zip(*rows)]
         lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
-        records = [{h: (None if v == "" else (float(v) if isinstance(v, (float, np.floating))
-                                              else int(v) if isinstance(v, (int, np.integer))
-                                              else v))
+        records = [{h: None if v == "" else v.item() if isinstance(v, np.generic) else v
                     for h, v in zip(header, row)} for row in rows]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(records, fh, indent=1)
@@ -216,7 +195,7 @@ def _exp_tmi_grid(p, seed, threads):
     thetas, phis, grid = time_averaged_tmi_grid(
         KickedTopParams(p["j"], p["k"], p["p"]), (p["n_theta"], p["n_phi"]),
         p["steps"], _parse_blocks(p["blocks"]), _parse_kind(p["kind"]))
-    header = ("theta\\phi",) + tuple(_fmt(v) for v in phis)
+    header = ("theta\\phi",) + tuple(map(str, phis.tolist()))
     rows = [(theta,) + tuple(row) for theta, row in zip(thetas.tolist(), grid.tolist())]
     return "tmi_grid", header, rows
 

@@ -701,7 +701,8 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     The grid discretizes theta in [0, pi) and phi in [0, 2pi); each node
     is kicked n_steps times and I3 is averaged over steps 1..n_steps.
     Only one node per symmetry orbit of _grid_orbits is evolved; the
-    other nodes of the orbit take its value.
+    other nodes of the orbit take its value.  The TMI of each step is taken
+    in blocks of core._block_rows(N, s) nodes, s the largest fold.
     Returns (theta_axis, phi_axis, matrix of shape grid).
     """
     n_theta, n_phi = grid
@@ -717,8 +718,10 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     i, j = np.divmod(representatives, n_phi)
     amps = coherent_amplitudes(n, thetas[i], phis[j])
 
+    rows = _block_rows(n, int(_folded_sizes(n, tmi_blocks(*blocks)).max()))
     acc = np.zeros(amps.shape[0])
     for _ in range(n_steps):
         amps = amps @ u_t
-        acc += tmi_batch(amps, n, blocks, kind)
+        for lo in range(0, len(acc), rows):
+            acc[lo:lo + rows] += tmi_batch(amps[lo:lo + rows], n, blocks, kind)
     return thetas, phis, (acc / n_steps)[inverse].reshape(n_theta, n_phi)

@@ -3,18 +3,21 @@
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import gammaln
 
-from permsym.core import PSState, _cached_block_arrays, embed_to_full, hermitian_eigenvalues
-from permsym.ensembles import (MCResult, _summarize,
+from permsym.core import (PSState, _cached_block_arrays, coherent_amplitudes, embed_to_full,
+                          hermitian_eigenvalues)
+from permsym.ensembles import (MCResult, _summarize, avg_linear_entropy_ps,
                                mc_block_entropy, mc_purity_sweep,
                                mc_tmi_samples, reduced_density_full)
 from permsym.errors import IntegrityError
 import permsym.kickedtop as kickedtop
-from permsym.measures import VON_NEUMANN, entropy_from_eigenvalues, tmi_blocks, tmi_sum
+from permsym.measures import (VON_NEUMANN, entropy_from_eigenvalues, tmi_batch, tmi_blocks,
+                              tmi_sum)
 
 
 def gammaln_log_binomial(n, k):
@@ -65,6 +68,14 @@ def rowwise_write_rows(path, fmt, header, rows):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(records, fh, indent=1)
             fh.write("\n")
+
+
+def avg_tmi_linear_ps(n: int, blocks) -> Fraction:
+    """Exact PS-ensemble average of the linear-entropy TMI of any three blocks:
+    by linearity of the mean, tmi_sum of avg_linear_entropy_ps over tmi_blocks
+    in rationals, with S = 0 at q in {0, N} (a pure state)."""
+    return tmi_sum([Fraction(0) if q in (0, n) else avg_linear_entropy_ps(Fraction(n), q)
+                    for q in tmi_blocks(*blocks)])
 
 
 def complex_eigenvalues(h) -> np.ndarray:
@@ -121,6 +132,25 @@ def fit_vn_alpha(pairs, samples: int, seed: int) -> float:
         ys.append(math.log2(q + 1) - res.mean)
     xs, ys = np.asarray(xs), np.asarray(ys)
     return float(xs @ ys / (xs @ xs))
+
+
+def unblocked_tmi_grid(params, grid, n_steps, blocks, kind):
+    """kickedtop.time_averaged_tmi_grid as it ran before it took each step's
+    TMI in core._block_rows blocks: every orbit representative in one
+    tmi_batch, kept as its oracle."""
+    n_theta, n_phi = grid
+    n = params.n_qubits
+    u_t = kickedtop.build_spin_system(params).T.copy()
+    thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    representatives, inverse = kickedtop._grid_orbits(n_theta, n_phi, params.p)
+    i, j = np.divmod(representatives, n_phi)
+    amps = coherent_amplitudes(n, thetas[i], phis[j])
+    acc = np.zeros(amps.shape[0])
+    for _ in range(n_steps):
+        amps = amps @ u_t
+        acc += tmi_batch(amps, n, blocks, kind)
+    return (acc / n_steps)[inverse].reshape(n_theta, n_phi)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -383,6 +383,37 @@ class TestWriter:
         assert open(path, "rb").read() == (tmp_path / "want").read_bytes()
 
 
+# Each experiment's small run, plus an analytic-only table (empty cells) and a
+# time series with residual columns.
+WRITER_INPUT_RUNS = sorted(SMALL_RUNS.items()) + [
+    ("averages", {"n": 6, "sweep_q": True}),
+    ("timeseries", {"j": 2.5, "steps": 6, "blocks": "1,2,2", "residual_reference": 0.1}),
+]
+
+
+class TestWriterInput:
+    """The runners hand _write_rows Python ints, floats and strings only: the
+    types whose str is the text of the CSV cell and which JSON takes as is (a
+    bool, a numpy scalar or a float32 would write other text)."""
+
+    @pytest.mark.parametrize("name, params", WRITER_INPUT_RUNS,
+                             ids=[f"{name}-{i}" for i, (name, _) in enumerate(WRITER_INPUT_RUNS)])
+    def test_every_cell_is_a_python_int_float_or_str(self, tmp_path, monkeypatch, name, params):
+        handed = []
+        writer = cli._write_rows
+
+        def spy(path, fmt, header, rows):
+            handed.append((header, rows))
+            writer(path, fmt, header, rows)
+        monkeypatch.setattr(cli, "_write_rows", spy)
+        run_experiment(name, params, seed=3, out_dir=str(tmp_path))
+        (header, rows), = handed
+        assert rows and all(type(h) is str for h in header)
+        types = {type(v) for row in rows for v in row}
+        assert types <= {int, float, str}, types
+        assert all(len(row) == len(header) for row in rows)
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_override_defaults(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -33,8 +33,9 @@ from permsym.errors import DomainError
 from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch,
                               entropy_from_eigenvalues, renyi, tmi_blocks, tmi_sum)
 
-from helpers import (complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full, matmul_gram,
-                     mc_purity, mc_tmi, random_unitary, trace_normalized_wishart)
+from helpers import (avg_tmi_linear_ps, complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full,
+                     matmul_gram, mc_purity, mc_tmi, random_unitary,
+                     trace_normalized_wishart)
 
 
 class TestSampler:
@@ -367,6 +368,34 @@ class TestTmiEstimates:
         for n, q in [(12, 2), (24, 4)]:
             assert avg_tmi_vn_wishart_blocks(n, (q, q, q)) == pytest.approx(
                 avg_tmi_vn_wishart(q, n), rel=1e-12)
+
+
+class TestExactLinearTmiAverage:
+    """helpers.avg_tmi_linear_ps, the exact rational average for any blocks,
+    against the two closed forms the package keeps and a Monte Carlo mean."""
+
+    @pytest.mark.parametrize("n", range(3, 40))
+    def test_single_qubits_are_the_closed_form(self, n):
+        exact = avg_tmi_linear_ps(n, (1, 1, 1))
+        assert exact == Fraction((n - 3) * (n * n - n + 4), 4 * n * (n - 1) * (n - 2))
+        assert avg_tmi_linear_ps_111(n) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equal_blocks_reach_the_large_n_form(self, m):
+        exact = avg_tmi_linear_ps(10 ** 6, (m, m, m))
+        limit = Fraction(6 * m ** 3, (m + 1) * (2 * m + 1) * (3 * m + 1))
+        assert abs(exact - limit) <= Fraction(1, 10 ** 6)
+        assert abs(avg_tmi_linear_ps_mmm(m) - float(exact)) <= 1e-6
+
+    def test_whole_system_is_pure(self):
+        # blocks that fill the system: S_ABC = 0 and each pair's complement is one block
+        exact = avg_tmi_linear_ps(4, (1, 1, 2))
+        assert exact == 0
+
+    @pytest.mark.parametrize("n, blocks", [(10, (1, 2, 3)), (12, (2, 1, 4))])
+    def test_unequal_blocks_match_monte_carlo(self, n, blocks):
+        res = mc_tmi(n, blocks, LINEAR, 8192, 5)
+        assert abs(res.mean - float(avg_tmi_linear_ps(n, blocks))) <= 4 * res.stderr
 
 
 class TestMonteCarlo:

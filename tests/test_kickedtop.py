@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from permsym.measures import LINEAR, VON_NEUMANN, block_entropy, tmi_batch
 
 from helpers import (RECURSION_MUTATIONS, angular_momentum_matrices, dense_floquet,
                      half_pi_rotation, parity_bases, real_rotation, sector_blocks,
-                     sector_rotation, two_trace_otoc)
+                     sector_rotation, two_trace_otoc, unblocked_tmi_grid)
 
 def _no_fallback(u):
     raise AssertionError("the O(d^2) check fell back to the d^3 one")
@@ -959,6 +960,62 @@ class TestGrid:
         _, _, grid = time_averaged_tmi_grid(params, shape, 20, blocks, kind)
         want = unreduced_tmi_grid(params, shape, 20, blocks, kind)
         np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
+
+
+class TestGridBlocks:
+    """time_averaged_tmi_grid takes each step's TMI in core._block_rows(N, s)
+    blocks of orbit representatives, s the largest fold of the TMI blocks."""
+
+    @staticmethod
+    def block_rows_seen(monkeypatch):
+        seen = []
+        kernel = kickedtop.tmi_batch
+
+        def spy(amps, *args):
+            seen.append(len(amps))
+            return kernel(amps, *args)
+        monkeypatch.setattr(kickedtop, "tmi_batch", spy)
+        return seen
+
+    def test_one_step_working_set(self):
+        # unblocked, all 1,227 representatives in one tmi_batch peaked at 79 MB
+        params = KickedTopParams(40, 6.0)
+        tracemalloc.start()
+        try:
+            time_averaged_tmi_grid(params, (50, 100), 1, (10, 10, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_one_block_keeps_the_unblocked_bytes(self, monkeypatch, p):
+        params = KickedTopParams(6, 6.0, p)
+        seen = self.block_rows_seen(monkeypatch)
+        _, _, grid = time_averaged_tmi_grid(params, (10, 20), 3, (1, 2, 2), VON_NEUMANN)
+        representatives = _grid_orbits(10, 20, p)[0].size
+        assert seen == [representatives] * 3
+        want = unblocked_tmi_grid(params, (10, 20), 3, (1, 2, 2), VON_NEUMANN)
+        assert grid.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [math.pi / 2, 1.1])
+    def test_several_blocks_keep_the_unblocked_bytes(self, monkeypatch, p):
+        # N = 80, largest fold 30: 41-row blocks
+        params = KickedTopParams(40, 6.0, p)
+        seen = self.block_rows_seen(monkeypatch)
+        _, _, grid = time_averaged_tmi_grid(params, (10, 20), 2, (10, 10, 10), VON_NEUMANN)
+        representatives = _grid_orbits(10, 20, p)[0].size
+        assert len(seen) == 2 * -(-representatives // 41) > 2 and max(seen) == 41
+        want = unblocked_tmi_grid(params, (10, 20), 2, (10, 10, 10), VON_NEUMANN)
+        assert grid.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_any_block_rows_keep_the_unblocked_bytes(self, monkeypatch, rows):
+        monkeypatch.setattr(kickedtop, "_block_rows", lambda n, s=None: rows)
+        params = KickedTopParams(3.5, 2.0, 1.1)
+        _, _, grid = time_averaged_tmi_grid(params, (5, 8), 4, (1, 1, 2), LINEAR)
+        want = unblocked_tmi_grid(params, (5, 8), 4, (1, 1, 2), LINEAR)
+        assert grid.tobytes() == want.tobytes()
 
 
 class TestPhasePortrait:

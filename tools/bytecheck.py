@@ -25,8 +25,10 @@ SEED = 11
 THREADS = (1, 2)
 
 # Sample counts span several Monte Carlo blocks, so --threads 2 runs a pool.
-# The last three cover the JSON writer, the empty cells of an analytic-only
-# table and a Wishart cut of at most core.ROW_GRAM_MAX_ROWS rows.
+# Then: the JSON writer, the empty cells of an analytic-only table, a Wishart
+# cut of at most core.ROW_GRAM_MAX_ROWS rows, TMI grids of several
+# core._block_rows blocks (j = 40, blocks 10,10,10: 41 rows) and JSON runs
+# of the two kicked-top tables.
 COMMANDS = [
     "ensemble-spectrum --kind ps --n 12 --q 6 --samples 2000",
     "ensemble-spectrum --kind ps --n 40 --q 20 --samples 1000",
@@ -49,6 +51,10 @@ COMMANDS = [
     "averages --n 20 --sweep-q --samples 4096 --format json",
     "averages --n 12 --sweep-q",
     "ensemble-spectrum --kind wishart --n1 3 --n2 9",
+    "tmi-grid --j 40 --blocks 10,10,10 --n-theta 10 --n-phi 20 --steps 2",
+    "tmi-grid --j 40 --blocks 10,10,10 --n-theta 10 --n-phi 20 --steps 2 --p 1.1",
+    "tmi-grid --j 6 --n-theta 10 --n-phi 20 --steps 20 --format json",
+    "timeseries --j 10 --steps 100 --format json",
 ]
 
 
