@@ -8,9 +8,9 @@ hash of each output.  Floats are written with shortest round-trip
 formatting, so identical runs produce byte-identical data files regardless
 of how the work is sharded.
 
-Exit codes: 0 success, 2 invalid input (DomainError), 3 capacity cap exceeded
-(CapacityError), 4 failed numerical health check (IntegrityError, or an
-eigensolver that did not converge, numpy.linalg.LinAlgError).
+Exit codes: 0 success, 2 invalid input (DomainError, or OSError of an unwritable
+output), 3 capacity cap exceeded (CapacityError), 4 failed numerical health
+check (IntegrityError, or an eigensolver that did not converge, LinAlgError).
 """
 
 from __future__ import annotations
@@ -372,6 +372,8 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
             raise DomainError(f"unknown parameter {key!r} for {name}")
     if threads < 1:
         raise DomainError(f"threads={threads} must be >= 1")
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"format {fmt!r} must be csv or json")
     resolved = {k: d for k, (t, d, h) in spec.items()}
     for key, value in params.items():
         resolved[key] = value if value is None else _convert(
@@ -380,7 +382,7 @@ def run_experiment(name: str, params: dict, seed: int, out_dir: str,
     started = time.perf_counter()
     stem, header, rows = runner(resolved, seed, threads)
     os.makedirs(out_dir, exist_ok=True)
-    data_path = os.path.join(out_dir, f"{stem}.{'csv' if fmt == 'csv' else 'json'}")
+    data_path = os.path.join(out_dir, f"{stem}.{fmt}")
     _write_rows(data_path, fmt, header, rows)
 
     manifest = {
@@ -453,10 +455,12 @@ def main(argv=None) -> int:
         merged.update(args)
         seed = _convert(merged.pop("seed", 0), int, "seed")
         out_dir = merged.pop("out", os.environ.get(OUTDIR_ENV, "."))
+        if not isinstance(out_dir, str):
+            raise DomainError(f"out={out_dir!r} is not a directory path")
         fmt = merged.pop("format", "csv")
         threads = _convert(merged.pop("threads", 1), int, "threads")
         paths = run_experiment(command, merged, seed, out_dir, fmt, threads)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: the output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

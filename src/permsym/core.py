@@ -172,18 +172,16 @@ def _check_count(name: str, value) -> None:
         raise DomainError(f"{name} {value!r} must be an integer >= 1")
 
 
-def _block_rows(n_qubits: int, s: int | None = None) -> int:
-    """Batch rows per block: BLOCK_BYTES over one complex (s+1) x (N-s+1) matrix.
+def _block_rows(r: int, c: int) -> int:
+    """Batch rows per block: BLOCK_BYTES over one complex r x c matrix.
 
-    s is the largest folded block size min(q, N-q) that a block forms, and
-    its coefficient matrix is the largest matrix the measures form per state
-    (a Gram is at most its size); s=None takes N//2, which covers every
-    block size.  No block is narrower than one row: 1,337 rows at N=12, 541
-    at N=20, 148 at N=40 and 6 at N=200 by default, and 431 at N=40, s=3.
+    r x c is the largest matrix a row forms (a Gram is at most its size): the
+    (s+1) x (N-s+1) coefficients of the largest fold s of a PS state, or any
+    r x c cut of a Haar row.  No block is narrower than one row: at s = N//2,
+    1,337 rows at N=12, 541 at N=20, 148 at N=40 and 6 at N=200, and 431 at
+    N=40, s=3.
     """
-    if s is None:
-        s = n_qubits // 2
-    return max(1, BLOCK_BYTES // (16 * (s + 1) * (n_qubits - s + 1)))
+    return max(1, BLOCK_BYTES // (16 * r * c))
 
 
 def smaller_gram(amplitudes: np.ndarray, n_qubits: int, q: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .core import (PSState, _block_coefficients, _block_rows, _check_count, _gram,
                    cut_spectrum, hermitian_eigenvalues, log_binomial)
 from .errors import DomainError
-from .measures import (VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
+from .measures import (VON_NEUMANN, EntropyKind, _check_blocks, _largest_cut,
                        block_entropies_batch, block_purity_batch,
                        entropy_from_eigenvalues, tmi_batch, tmi_blocks, tmi_sum)
 
@@ -98,8 +98,7 @@ def ps_amplitude_batch(n_qubits: int, seed: int, count: int, start: int = 0) -> 
 
 def _map_index_chunks(total: int, chunk: int, threads: int, worker):
     """Run worker(start, count) over the index range and concatenate in order."""
-    if total < 1:
-        raise DomainError(f"sample count {total} must be >= 1")
+    _check_count("sample count", total)
     _check_count("threads", threads)
     ranges = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads > 1 and len(ranges) > 1:
@@ -112,16 +111,11 @@ def _map_index_chunks(total: int, chunk: int, threads: int, worker):
 
 
 def _mc_samples(n_qubits: int, samples: int, seed: int, value, threads: int,
-                rows: int) -> np.ndarray:
+                cut: tuple) -> np.ndarray:
     """value(batch of amplitude vectors) over PS samples 0..samples-1 of `seed`, in
-    blocks of `rows` samples: core._block_rows of the largest matrix value forms."""
-    return _map_index_chunks(samples, rows, threads, lambda start, count: value(
+    blocks of core._block_rows(*cut) samples, cut the largest r x c matrix value forms."""
+    return _map_index_chunks(samples, _block_rows(*cut), threads, lambda start, count: value(
         ps_amplitude_batch(n_qubits, seed, count, start)))
-
-
-def _gram_rows(r: int, c: int) -> int:
-    """Block rows for r x c cuts of each row, whose Grams are no larger: 1 MiB // (16 r c)."""
-    return _block_rows(r + c - 2, r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +141,7 @@ class EnsembleSpec:
                 raise DomainError(f"Wishart needs N1, N2 >= 1, got {self.dims}")
         else:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
-        if self.sample_count < 1:
-            raise DomainError("sample_count must be positive")
+        _check_count("sample_count", self.sample_count)
 
     @property
     def scale(self) -> float:
@@ -170,7 +163,7 @@ def ensemble_eigenvalues(spec: EnsembleSpec, threads: int = 1) -> np.ndarray:
 
     Each sample is an r x c cut of a Haar row, the (Q+1) x (N-Q+1) coefficient matrix
     of PS(N, Q) or the N1 x N2 reshape of Wishart(N1, N2) (sample_wishart_rdm), and
-    gives its r eigenvalues by core.cut_spectrum, in blocks of _gram_rows(r, c).
+    gives its r eigenvalues by core.cut_spectrum, in blocks sized by that cut.
     """
     a, b = spec.dims
     ps = spec.kind == "ps"
@@ -178,13 +171,13 @@ def ensemble_eigenvalues(spec: EnsembleSpec, threads: int = 1) -> np.ndarray:
     return _mc_samples(a if ps else r * c - 1, spec.sample_count, spec.seed,
                        lambda rows: cut_spectrum(_block_coefficients(rows, a, b) if ps
                                                  else rows.reshape(-1, r, c)),
-                       threads, _gram_rows(r, c)).ravel()
+                       threads, (r, c)).ravel()
 
 
 def spectral_histogram(spec: EnsembleSpec, bins: int = 250, threads: int = 1) -> SpectralHistogram:
     """Histogram of eigenvalues scaled by the subsystem dimension, area 1."""
-    if bins < 10:
-        raise DomainError(f"bins={bins} must be >= 10")
+    if not (isinstance(bins, (int, np.integer)) and bins >= 10):
+        raise DomainError(f"bins {bins!r} must be an integer >= 10")
     scaled = ensemble_eigenvalues(spec, threads=threads) * spec.scale
     densities, edges = np.histogram(scaled, bins=bins, density=True)
     return SpectralHistogram(edges, densities, spec.sample_count)
@@ -369,7 +362,7 @@ def mc_block_entropy_samples(n: int, q: int, kind: EntropyKind, samples: int,
     _check_ps_block(n, q)
     return _mc_samples(n, samples, seed,
                        lambda amps: block_entropies_batch(amps, n, (q,), kind)[q],
-                       threads, _block_rows(n, min(q, n - q)))
+                       threads, _largest_cut(n, (q,)))
 
 
 def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
@@ -377,7 +370,7 @@ def mc_tmi_samples(n: int, sizes, kind: EntropyKind, samples: int, seed: int,
     """Per-sample TMI over random PS states."""
     _check_blocks(n, sizes)
     return _mc_samples(n, samples, seed, lambda amps: tmi_batch(amps, n, sizes, kind),
-                       threads, _block_rows(n, int(_folded_sizes(n, tmi_blocks(*sizes)).max())))
+                       threads, _largest_cut(n, tmi_blocks(*sizes)))
 
 
 def mc_purity_sweep(n: int, samples: int, seed: int, qs=None, threads: int = 1) -> dict:
@@ -390,7 +383,7 @@ def mc_purity_sweep(n: int, samples: int, seed: int, qs=None, threads: int = 1) 
     for q in qs:
         _check_ps_block(n, q)
     values = _mc_samples(n, samples, seed, lambda amps: block_purity_batch(amps, n, qs),
-                         threads, _block_rows(n, int(_folded_sizes(n, qs).max())))
+                         threads, _largest_cut(n, qs))
     return {q: _summarize(values[:, col]) for col, q in enumerate(qs)}
 
 
@@ -432,8 +425,8 @@ def tmi_full_state(psi: np.ndarray, n_qubits: int, sizes,
 def mc_tmi_full_samples(n_qubits: int, sizes, kind: EntropyKind, samples: int,
                         seed: int, threads: int = 1) -> np.ndarray:
     """Per-sample TMI of Haar-random full 2^N states (Wishart reductions), in
-    blocks of _gram_rows(1, 2^N): every cut of a state holds its 2^N amplitudes."""
+    blocks sized by the 1 x 2^N cut: every cut of a state holds its 2^N amplitudes."""
     _check_blocks(n_qubits, sizes)
     return _mc_samples(2 ** n_qubits - 1, samples, seed,
                        lambda psi: tmi_full_state(psi, n_qubits, sizes, kind),
-                       threads, _gram_rows(1, 2 ** n_qubits))
+                       threads, (1, 2 ** n_qubits))

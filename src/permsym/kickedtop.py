@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import _block_rows, _check_count, _qubits_from_spin, coherent_amplitudes, log_binomial
 from .errors import CapacityError, DomainError, IntegrityError
-from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _folded_sizes,
+from .measures import (LINEAR, VON_NEUMANN, EntropyKind, _check_blocks, _largest_cut,
                        block_entropies_batch, tmi_batch, tmi_blocks, tmi_sum)
 
 DIM_CAP = 8192  # cap on 2j+1; O(d^3) work must be a conscious choice
@@ -221,23 +221,18 @@ def timeseries_measures(params: KickedTopParams, theta: float, phi: float,
         traj[step + 1] = u @ traj[step]
 
     sizes = sorted(set(tmi_blocks(q1, q2, q3)))
+    rows = _block_rows(*_largest_cut(n, sizes))
     table = {"step": np.arange(n_steps + 1)}
     for kind in kinds:
-        s = _chunked_block_entropies(traj, n, sizes, kind)
+        parts = [block_entropies_batch(traj[lo:lo + rows], n, sizes, kind)
+                 for lo in range(0, n_steps + 1, rows)]
+        s = {q: np.concatenate([part[q] for part in parts]) for q in sizes}
         label = _kind_label(kind)
         table[f"S_A_{label}"] = s[q1]
         table[f"I2_AB_{label}"] = s[q1] + s[q2] - s[q1 + q2]
         table[f"I2_A_BC_{label}"] = s[q1] + s[q2 + q3] - s[q1 + q2 + q3]
         table[f"I3_{label}"] = tmi_sum([s[q] for q in tmi_blocks(q1, q2, q3)])
     return table
-
-
-def _chunked_block_entropies(traj: np.ndarray, n: int, sizes, kind) -> dict:
-    """block_entropies_batch over blocks of core._block_rows(n, s) steps, s the largest fold."""
-    chunk = _block_rows(n, int(_folded_sizes(n, sizes).max()))
-    parts = [block_entropies_batch(traj[s:s + chunk], n, sizes, kind)
-             for s in range(0, traj.shape[0], chunk)]
-    return {q: np.concatenate([p[q] for p in parts]) for q in sizes}
 
 
 def saturation_residuals(values: np.ndarray, reference: float) -> np.ndarray:
@@ -616,8 +611,10 @@ def lyapunov_exponent(k: float, p: float, n_transient: int = 200,
     over trajectories.
     """
     _check_finite(k=k, p=p)
-    if n_transient < 0 or n_average < 1 or n_trajectories < 1:
-        raise DomainError("iteration counts must be positive")
+    if not (isinstance(n_transient, (int, np.integer)) and n_transient >= 0):
+        raise DomainError(f"n_transient {n_transient!r} must be an integer >= 0")
+    _check_count("n_average", n_average)
+    _check_count("n_trajectories", n_trajectories)
     if rng is None:
         rng = np.random.default_rng(0)
     if initial_points is None:
@@ -648,8 +645,8 @@ def phase_portrait(k: float, p: float, n_points: int, n_steps: int,
     iterated n_steps times (step 0 included).
     """
     _check_finite(k=k, p=p)
-    if n_points < 1 or n_steps < 1:
-        raise DomainError("counts must be positive")
+    _check_count("n_points", n_points)
+    _check_count("n_steps", n_steps)
     points = _random_sphere_points(n_points, rng)
     rows = np.empty(((n_steps + 1) * n_points, 4))
     ids = np.arange(n_points, dtype=float)
@@ -702,7 +699,7 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     is kicked n_steps times and I3 is averaged over steps 1..n_steps.
     Only one node per symmetry orbit of _grid_orbits is evolved; the
     other nodes of the orbit take its value.  The TMI of each step is taken
-    in blocks of core._block_rows(N, s) nodes, s the largest fold.
+    in blocks of core._block_rows nodes, sized by the largest fold's matrix.
     Returns (theta_axis, phi_axis, matrix of shape grid).
     """
     n_theta, n_phi = grid
@@ -718,7 +715,7 @@ def time_averaged_tmi_grid(params: KickedTopParams, grid=(50, 100),
     i, j = np.divmod(representatives, n_phi)
     amps = coherent_amplitudes(n, thetas[i], phis[j])
 
-    rows = _block_rows(n, int(_folded_sizes(n, tmi_blocks(*blocks)).max()))
+    rows = _block_rows(*_largest_cut(n, tmi_blocks(*blocks)))
     acc = np.zeros(amps.shape[0])
     for _ in range(n_steps):
         amps = amps @ u_t

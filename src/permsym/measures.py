@@ -107,6 +107,12 @@ def _folded_sizes(n_qubits: int, qs) -> np.ndarray:
     return folded
 
 
+def _largest_cut(n_qubits: int, sizes) -> tuple:
+    """(s+1, N-s+1), the coefficient matrix of the largest fold s of `sizes`."""
+    s = int(_folded_sizes(n_qubits, sizes).max())
+    return s + 1, n_qubits - s + 1
+
+
 def _walk_down(amplitudes: np.ndarray, n_qubits: int, folded: np.ndarray):
     """Yield (s, rho_s) for every distinct s in folded, largest first.
 

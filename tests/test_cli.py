@@ -199,6 +199,11 @@ class TestExitCodes:
         ["concentration", "--n", 3, "--samples", 1000, "--epsilons", "0.1,nan"],
         ["timeseries", "--j", 3, "--steps", 2, "--theta", "nan"],
         ["timeseries", "--j", 3, "--steps", 2, "--phi", "inf"],
+        # a config file bypasses argparse: "xml" and "CSV" wrote JSON, and
+        # out=5 ran the experiment and then died in os.makedirs
+        ["averages", "--config", "format_xml.json"],
+        ["averages", "--config", "format_upper.json"],
+        ["averages", "--config", "out_number.json"],
     ])
     def test_malformed_input_exits_2(self, tmp_path, monkeypatch, args, capsys):
         monkeypatch.chdir(tmp_path)
@@ -214,10 +219,23 @@ class TestExitCodes:
         (tmp_path / "seed_bool.json").write_text(json.dumps({"seed": True}))
         (tmp_path / "threads_bool.json").write_text(json.dumps({"threads": True}))
         (tmp_path / "threads_fraction.json").write_text(json.dumps({"threads": 1.9}))
-        assert run(args + ["--out", tmp_path / "run"]) == 2
+        (tmp_path / "format_xml.json").write_text(json.dumps({"format": "xml"}))
+        (tmp_path / "format_upper.json").write_text(json.dumps({"format": "CSV"}))
+        (tmp_path / "out_number.json").write_text(json.dumps({"out": 5}))
+        # the output directory comes from the environment, which a config's out overrides
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "run"))
+        assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # before, the experiment ran and NotADirectoryError ended in a traceback
+        (tmp_path / "file").write_text("")
+        assert run(["averages", "--out", tmp_path / "file" / "sub"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_integrity_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import permsym.kickedtop as kickedtop

@@ -16,7 +16,7 @@ from permsym.core import (PSState, coefficient_matrix, coherent_amplitudes,
                           trace_out_qubit)
 from permsym.ensembles import reduced_density_full
 from permsym.errors import CapacityError, DomainError
-from permsym.measures import block_purity_batch
+from permsym.measures import _largest_cut, block_purity_batch
 
 from helpers import (angular_momentum_matrices, complex_eigenvalues, dicke_vector,
                      gammaln_log_binomial, gathered_coefficients, matmul_gram)
@@ -350,15 +350,18 @@ class TestGather:
     @pytest.mark.parametrize("n,rows", [(0, 65536), (1, 32768), (12, 1337), (20, 541),
                                         (40, 148), (200, 6), (10 ** 4, 1)])
     def test_block_rows(self, n, rows):
-        assert core._block_rows(n) == rows
-        assert core._block_rows(n, n // 2) == rows
+        # s = N//2 is the largest fold of every block size
+        assert core._block_rows(*_largest_cut(n, range(n + 1))) == rows
+        assert core._block_rows(n // 2 + 1, n - n // 2 + 1) == rows
 
     @pytest.mark.parametrize("n,s,rows", [(40, 3, 431), (40, 5, 303), (40, 0, 1598),
                                           (13, 6, 1170), (200, 1, 163)])
     def test_block_rows_of_the_largest_fold(self, n, s, rows):
         # BLOCK_BYTES over the (s+1) x (N-s+1) coefficient matrix of the
         # largest folded block size
-        assert core._block_rows(n, s) == rows == core.BLOCK_BYTES // (16 * (s + 1) * (n - s + 1))
+        assert _largest_cut(n, (s, n - s)) == (s + 1, n - s + 1)
+        assert core._block_rows(s + 1, n - s + 1) == rows == core.BLOCK_BYTES // (
+            16 * (s + 1) * (n - s + 1))
 
 
 class TestRowGram:

@@ -30,7 +30,8 @@ from permsym.ensembles import (EnsembleSpec, avg_linear_entropy_ps,
                                sample_ps_state, sample_wishart_rdm,
                                spectral_histogram, stream, tmi_full_state)
 from permsym.errors import DomainError
-from permsym.measures import (LINEAR, VON_NEUMANN, block_spectra_batch,
+from permsym.kickedtop import lyapunov_exponent, phase_portrait
+from permsym.measures import (LINEAR, VON_NEUMANN, _largest_cut, block_spectra_batch,
                               entropy_from_eigenvalues, renyi, tmi_blocks, tmi_sum)
 
 from helpers import (avg_tmi_linear_ps, complex_eigenvalues, fit_vn_alpha, kept_side_tmi_full,
@@ -86,13 +87,28 @@ def fresh_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=(index << 64) | (seed & (2 ** 64 - 1))))
 
 
+def spy_chunks(mp):
+    """The list of block sizes that ensembles._map_index_chunks is handed from now on."""
+    map_chunks, chunks = ensembles._map_index_chunks, []
+
+    def spy(total, chunk, threads, worker):
+        chunks.append(chunk)
+        return map_chunks(total, chunk, threads, worker)
+    mp.setattr(ensembles, "_map_index_chunks", spy)
+    return chunks
+
+
 def in_blocks(rows, fn, *args, **kwargs):
     """fn(*args, **kwargs) with every Monte Carlo block held to `rows` samples
-    (None: the default rule, core._block_rows)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
-            mp.setattr(ensembles, "_block_rows", lambda n_qubits, s=None: rows)
+    (None: the default rule, core._block_rows); the index map sees only `rows`."""
+    if rows is None:
         return fn(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensembles, "_block_rows", lambda r, c: rows)
+        chunks = spy_chunks(mp)
+        out = fn(*args, **kwargs)
+    assert chunks and set(chunks) == {rows}
+    return out
 
 
 def oracle_amplitudes(n, seed, count, start=0):
@@ -268,6 +284,26 @@ class TestSpectralHistogram:
         np.testing.assert_array_equal(
             spectral_histogram(spec, bins=40, threads=1).densities,
             in_blocks(64, spectral_histogram, spec, bins=40, threads=2).densities)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: EnsembleSpec("ps", (8, 2), 2.5, 0), id="sample_count"),
+    pytest.param(lambda: spectral_histogram(EnsembleSpec("ps", (8, 2), 10, 0), bins=10.5),
+                 id="bins"),
+    pytest.param(lambda: mc_tmi_samples(6, (1, 1, 1), LINEAR, 2.5, 0), id="samples"),
+    pytest.param(lambda: phase_portrait(6.0, 1.1, 2.5, 3, np.random.default_rng(0)),
+                 id="n_points"),
+    pytest.param(lambda: phase_portrait(6.0, 1.1, 3, 2.5, np.random.default_rng(0)),
+                 id="n_steps"),
+    pytest.param(lambda: lyapunov_exponent(6.0, 1.1, n_transient=2.5), id="n_transient"),
+    pytest.param(lambda: lyapunov_exponent(6.0, 1.1, n_average=2.5), id="n_average"),
+    pytest.param(lambda: lyapunov_exponent(6.0, 1.1, n_trajectories=2.5),
+                 id="n_trajectories"),
+])
+def test_fractional_counts_are_domain_errors(call):
+    # each of these raised numpy's TypeError, or nothing at all for sample_count
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
 
 
 class TestClosedForms:
@@ -466,8 +502,8 @@ class TestShardInvariance:
         # 148 for the purity sweep and the PS(40, 20) spectrum, and 13
         # Wishart(41, 20) blocks (79 rows, 1 MiB // (16 * 41 * 20))
         n, samples, seed = 40, 1000, 2 ** 63 + 5
-        assert _block_rows(n) == 148 and ensembles._gram_rows(41, 20) == 79
-        assert [_block_rows(n, s) for s in (3, 5, 9)] == [431, 303, 204]
+        assert _block_rows(*_largest_cut(n, range(n + 1))) == 148 and _block_rows(41, 20) == 79
+        assert [_block_rows(*_largest_cut(n, (s,))) for s in (3, 5, 9)] == [431, 303, 204]
         for fn in (
             lambda threads: mc_tmi_samples(n, (1, 2, 2), LINEAR, samples, seed, threads),
             lambda threads: mc_tmi_samples(n, (2, 3, 4), VON_NEUMANN, samples, seed, threads),
@@ -488,12 +524,7 @@ class TestShardInvariance:
     def test_default_blocks_fit_the_largest_fold(self, monkeypatch):
         # a block is sized by the largest matrix the call forms: the
         # (s+1) x (N-s+1) coefficients of its largest folded block size s
-        map_chunks, chunks = ensembles._map_index_chunks, []
-
-        def spy(total, chunk, threads, worker):
-            chunks.append(chunk)
-            return map_chunks(total, chunk, threads, worker)
-        monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
+        chunks = spy_chunks(monkeypatch)
         n = 40
         for call, s in (
             (lambda: functional_samples(n, ("tmi", (1, 1, 1), LINEAR), 10, 1), 3),
@@ -504,8 +535,8 @@ class TestShardInvariance:
             (lambda: ensemble_eigenvalues(EnsembleSpec("ps", (n, 37), 10, 1)), 3),
         ):
             call()
-            assert chunks.pop() == _block_rows(n, s)
-        assert _block_rows(n, 3) == 431
+            assert chunks.pop() == _block_rows(s + 1, n - s + 1)
+        assert _block_rows(4, 38) == 431
         with pytest.raises(DomainError, match="exceed"):
             mc_tmi_samples(6, (3, 3, 1), LINEAR, 10, 1)
         with pytest.raises(DomainError, match="exceed"):
@@ -516,15 +547,10 @@ class TestShardInvariance:
 
     def test_gram_blocks_fit_the_largest_matrix(self, monkeypatch):
         # rows cut to n1 x n2, whose Grams are at most min(n1, n2) square, take
-        # _block_rows(n1 + n2 - 2, n1 - 1) = 1 MiB // (16 n1 n2) rows:
-        # Wishart(n1, n2), and the full-space TMI's ABC cut, n1 = 2^k and
-        # n2 = 2^(N-k) with k = q1 + q2 + q3, whose product is 2^N for every k
-        map_chunks, chunks = ensembles._map_index_chunks, []
-
-        def spy(total, chunk, threads, worker):
-            chunks.append(chunk)
-            return map_chunks(total, chunk, threads, worker)
-        monkeypatch.setattr(ensembles, "_map_index_chunks", spy)
+        # _block_rows(n1, n2) = 1 MiB // (16 n1 n2) rows: Wishart(n1, n2), and
+        # the full-space TMI's ABC cut, n1 = 2^k and n2 = 2^(N-k) with
+        # k = q1 + q2 + q3, whose product is 2^N for every k
+        chunks = spy_chunks(monkeypatch)
         for call, n1, n2, rows in (
             (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (101, 101), 2, 1)), 101, 101, 6),
             (lambda: ensemble_eigenvalues(EnsembleSpec("wishart", (41, 20), 2, 1)), 41, 20, 79),
@@ -536,20 +562,22 @@ class TestShardInvariance:
         ):
             call()
             assert chunks.pop() == rows == max(1, 2 ** 20 // (16 * n1 * n2))
-            assert rows == _block_rows(n1 + n2 - 2, n1 - 1)
+            assert rows == _block_rows(n1, n2)
         assert not chunks
 
     @pytest.mark.parametrize("threads", [0, -4, 2.5])
     def test_threads_must_be_a_positive_integer(self, threads, monkeypatch):
         # before, these ran serially, and 2.5 with several blocks reached
         # ThreadPoolExecutor(max_workers=2.5); 3-row blocks make several
-        monkeypatch.setattr(ensembles, "_block_rows", lambda n_qubits, s=None: 3)
+        monkeypatch.setattr(ensembles, "_block_rows", lambda r, c: 3)
+        chunks = spy_chunks(monkeypatch)
         with pytest.raises(DomainError, match="threads"):
             mc_tmi_samples(6, (1, 1, 1), LINEAR, 10, 1, threads=threads)
         with pytest.raises(DomainError, match="threads"):
             functional_samples(6, ("vn", 2), 10, 1, threads=threads)
         with pytest.raises(DomainError, match="threads"):
             ensemble_eigenvalues(EnsembleSpec("wishart", (2, 2), 10, 1), threads=threads)
+        assert chunks == [3, 3, 3]
 
     def test_one_sampler_draws_every_ensemble(self):
         # only ps_amplitude_batch re-keys a generator per sample, and no code
@@ -608,6 +636,23 @@ class TestShardInvariance:
         params, refs = chunk_parameters_and_map_references()
         assert params == [("ensembles.py", "_map_index_chunks")]
         assert refs and {path for path, _ in refs} == {"ensembles.py"}
+
+    def test_one_block_rule_keyed_by_the_largest_cut(self):
+        # core._block_rows(r, c) is called once by the Monte Carlo driver and
+        # once by each kicked-top loop; only measures folds block sizes
+        calls, folding = [], []
+        for path in sorted(pathlib.Path(ensembles.__file__).parent.glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            calls += [(path.name, fn.name) for fn in ast.walk(ast.parse(source))
+                      if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == "_block_rows"]
+            folding += [path.name] if "_folded_sizes" in source else []
+            assert "_gram_rows" not in source and "_chunked_block_entropies" not in source
+        assert calls == [("ensembles.py", "_mc_samples"),
+                         ("kickedtop.py", "timeseries_measures"),
+                         ("kickedtop.py", "time_averaged_tmi_grid")]
+        assert folding == ["measures.py"]
 
 
 def chunk_parameters_and_map_references():

@@ -904,7 +904,7 @@ class TestTimeseries:
         table = timeseries_measures(params, 1.1, 0.3, 500, kinds=(LINEAR,))
         assert rows == [431, 70]
         rows.clear()
-        monkeypatch.setattr(kickedtop, "_block_rows", lambda n, s=None: 10 ** 6)
+        monkeypatch.setattr(kickedtop, "_block_rows", lambda r, c: 10 ** 6)
         whole = timeseries_measures(params, 1.1, 0.3, 500, kinds=(LINEAR,))
         assert rows == [501]
         for name, values in table.items():
@@ -1011,9 +1011,12 @@ class TestGridBlocks:
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_any_block_rows_keep_the_unblocked_bytes(self, monkeypatch, rows):
-        monkeypatch.setattr(kickedtop, "_block_rows", lambda n, s=None: rows)
+        monkeypatch.setattr(kickedtop, "_block_rows", lambda r, c: rows)
+        seen = self.block_rows_seen(monkeypatch)
         params = KickedTopParams(3.5, 2.0, 1.1)
         _, _, grid = time_averaged_tmi_grid(params, (5, 8), 4, (1, 1, 2), LINEAR)
+        full, rest = divmod(_grid_orbits(5, 8, 1.1)[0].size, rows)
+        assert seen == ([rows] * full + [rest] * (rest > 0)) * 4
         want = unblocked_tmi_grid(params, (5, 8), 4, (1, 1, 2), LINEAR)
         assert grid.tobytes() == want.tobytes()
 

@@ -26,9 +26,9 @@ THREADS = (1, 2)
 
 # Sample counts span several Monte Carlo blocks, so --threads 2 runs a pool.
 # Then: the JSON writer, the empty cells of an analytic-only table, a Wishart
-# cut of at most core.ROW_GRAM_MAX_ROWS rows, TMI grids of several
-# core._block_rows blocks (j = 40, blocks 10,10,10: 41 rows) and JSON runs
-# of the two kicked-top tables.
+# cut of at most core.ROW_GRAM_MAX_ROWS rows, TMI grids and a time series of
+# several core._block_rows blocks (j = 40, blocks 10,10,10: 41 rows; 601
+# steps take 15 blocks) and JSON runs of the two kicked-top tables.
 COMMANDS = [
     "ensemble-spectrum --kind ps --n 12 --q 6 --samples 2000",
     "ensemble-spectrum --kind ps --n 40 --q 20 --samples 1000",
@@ -55,6 +55,7 @@ COMMANDS = [
     "tmi-grid --j 40 --blocks 10,10,10 --n-theta 10 --n-phi 20 --steps 2 --p 1.1",
     "tmi-grid --j 6 --n-theta 10 --n-phi 20 --steps 20 --format json",
     "timeseries --j 10 --steps 100 --format json",
+    "timeseries --j 40 --blocks 10,10,10 --steps 600",
 ]
 
 
